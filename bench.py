@@ -35,132 +35,8 @@ def run_queries() -> tuple[dict[str, float], dict[str, int]]:
     sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
     import __ray_entry__ as em
 
-    names = [
-        "kg_doc_mentions", "kg_doc_edges",
-        "q1_pricing", "q3_top_orders", "q5_region_revenue",
-        "events_tumbling", "events_argmax", "events_sessionize",
-        "docs_stats", "docs_quality", "dedup_exact",
-        "minhash_verified_pairs", "knn_cosine", "embed_norms",
-        "embed_neardup_pairs", "ner_eval",
-        "events_asof", "orders_topn_per_cust", "lineitem_quantiles",
-        "docs_tfidf_top", "events_range_join",
-        # round-3 additions: decontamination, per-source quota, and the
-        # repaired near-dup curation chain (components + left join)
-        "docs_decontaminate", "docs_source_quota", "docs_curation_neardup",
-        # round-3 graph/census family: co-occurrence mining + entity
-        # salience (dense finalizer), global n-gram heavy hitters, and
-        # the distributed BSP PageRank over the near-dup doc graph
-        "kg_cooccurrence", "kg_entity_salience",
-        "docs_ngram_topk", "docs_pagerank", "kg_khop",
-        # late round-3 additions: q18 HAVING join chain, exact 3-sigma
-        # anomalies, triangle census, chunk-level dedup + reconstruction,
-        # neighborhood Jaccard, conversion funnel
-        "q18_big_orders", "events_anomaly", "kg_triangles",
-        "docs_chunk_dedup", "kg_jaccard_neighbors", "events_conversion",
-        # sketch/prefilter chains + exact-size sampling
-        "orders_bloom_semi", "docs_frequent_tokens", "docs_bottomk_sample",
-        "lineitem_winsorize",
-        # composed LLM-prep flagship (curate -> decontaminate -> split ->
-        # pack -> checkpointed stages; always a fresh run — the query
-        # clears its scratch root)
-        "docs_llm_prep",
-        # closing-session additions: returned-customer join chain, PII
-        # scrub, integrity audit, multi-query ANN, k-means census
-        "q10_returned_customers", "docs_redact", "tables_integrity",
-        "knn_cosine_multi", "embed_kmeans",
-        # round-3 continuation: TPC-H remainder shapes, the persisted
-        # inverted-index search, and the window extremum pair
-        "q4_order_priority", "q8_market_share", "q13_custdist",
-        "q17_small_qty_revenue", "q21_waiting_suppliers",
-        "part_cheapest_supplier", "docs_search_indexed", "events_first_last",
-        # BM25/phrase serve over the cached index, PPMI scoring, SemDeDup
-        "docs_search_ranked", "docs_search_phrase", "kg_ppmi",
-        "embed_semdedup",
-        # round-4: the trained-ensemble flagship loop (train → held-out
-        # eval → derived eval matrix → full KG run; 45 s cold at sf0.1,
-        # ~6 s on checkpoint resume — model + graph keyed by corpus
-        # fingerprint under /tmp)
-        "kg_flagship_trained",
-        # round-4 continuation: duplicated-span removal (full-token
-        # exchange), winnow sketch + its pair join, exact-moment OLS,
-        # per-user entropy, robust MAD census
-        "docs_dupspans", "docs_winnow_pairs", "lineitem_regression",
-        "events_entropy", "lineitem_mad", "docs_jaccard_prefix",
-        "events_dense_rank", "docs_curation_report", "events_funnel3",
-        # round-4 third sitting: oracled MinHash-LSH + incremental
-        # cross-corpus dedup, column profiler (27 cols / 1 exchange),
-        # PMI collocations, Spearman, skew diagnostics, feature hashing,
-        # time-decay scoring, chi-square, YoY, distributed PCA
-        "docs_minhash_pairs", "docs_crossdedup", "tables_profile",
-        "docs_collocations", "lineitem_spearman", "tables_skew_report",
-        "docs_feature_hashing", "events_decay", "events_chisq",
-        "orders_yoy", "embed_pca", "docs_minhash_clusters",
-        "customers_rfm",
-        # round-4 fourth sitting: link prediction + clustering coeff,
-        # SCD2, per-user quantiles, Pareto classes, co-purchase CF,
-        # radius search, keyness, bigram LM, cohorts, centroids, k-core
-        "kg_adamic_adar", "kg_clustering_coeff", "events_scd2",
-        "events_user_quantiles", "orders_abc", "parts_copurchase_sim",
-        "knn_range", "docs_odds_ratio", "docs_bigram_lm",
-        "orders_cohorts", "embed_label_centroids", "kg_kcore",
-        # fourth-sitting later additions: attribution, sweep line, HHI,
-        # rolling median, assortativity, t-test/KS, Zipf, kNN graph,
-        # journeys, LSH eval, autocorr, RAKE, Benford, pct change
-        "events_last_touch", "orders_open_by_day", "supplier_hhi",
-        "events_rolling_median", "events_interarrival", "kg_assortativity",
-        "events_ttest", "docs_zipf", "events_ks_test", "events_top_paths",
-        "embed_knn_graph", "events_pct_change", "docs_minhash_eval",
-        "events_daily_autocorr", "docs_rake", "lineitem_benford",
-        "events_bursts", "embed_label_affinity", "parts_assoc_rules",
-        "lineitem_weighted_median", "supplier_gini", "events_streaks",
-        "nations_trade_matrix", "orders_trend", "docs_length_percentiles",
-        "docs_length_mad", "events_gap_histogram", "events_type_jaccard", "events_hourly_profile", "docs_heaps", "docs_source_js", "events_dau_mau", "events_cusum", "docs_search_rrf", "docs_es_sample", "docs_sources_overlap", "kg_lpa", "docs_ttr", "events_type_kmv", "lineitem_zonemap_scan", "events_mannwhitney", "events_geomean", "docs_compress_ratio",
-        # fifth sitting: survival, inequality decomposition, Gopher rules,
-        # HITS, MMR, SNM windows, correlation matrix, runs test, FK
-        # discovery, Markov fixpoint, seasonal decomposition, exactly-once
-        # micro-batch fold, containment join, bitmap index, trigram
-        # mining, betweenness, weighted SSSP
-        "events_kaplan_meier", "supplier_theil", "docs_gopher_rules",
-        "kg_hits", "embed_mmr", "docs_snm_pairs", "lineitem_corr_matrix",
-        "orders_runs_test", "tables_fk_discovery",
-        "events_markov_stationary", "orders_seasonal_decompose",
-        "events_streaming_tumbling", "docs_containment_pairs",
-        "lineitem_bitmap_counts", "events_path_trigrams",
-        "kg_betweenness", "kg_distances", "events_anova",
-        "tables_fd_discovery",
-        # sixth sitting
-        "lineitem_zorder_scan", "orders_snapshot_diff",
-        "docs_readability", "nation_rev_ivm", "kg_negative_samples",
-        "sales_hierarchy_share", "events_mutual_info", "docs_simpson",
-        "orders_theilsen", "tables_key_discovery",
-        # round-4 close-out: density clustering, spanning backbone, CEP,
-        # deterministic walk corpus, Neyman stratified sampling
-        "embed_dbscan", "kg_mst", "events_cep", "kg_walks",
-        "lineitem_neyman",
-        # round-4 final sitting: attribution, sequence decoding, JL
-        # projection, backtest, modularity, WOE, apportionment, sweep
-        "events_linear_attrib", "events_hmm_score", "embed_rproj",
-        "orders_backtest", "kg_label_modularity", "orders_woe",
-        "orders_apportion", "events_peak_concurrency",
-        "customers_kanon", "customers_clv", "embed_triplets",
-        "events_wilson", "docs_huffman",
-        "docs_leakage_safe_split", "docs_search_snippets",
-        "kg_harmonic", "events_absorbing", "docs_fragile_links",
-        "events_bounce_rate", "events_cuped", "docs_corpus_report",
-        "lineitem_selfjoin_size", "tables_storage_audit",
-        # round-5: ontology-linked node census, Pareto skyline, higher
-        # moments, Sankey flows, EWMA smoothing
-        "kg_nodes_ontology", "lineitem_skyline", "lineitem_moments",
-        "events_sankey", "events_ewma", "supplier_value_share",
-        "embed_quantize", "nation_rev_ivm_bilateral",
-        "events_runlengths", "orders_weekly_iso", "embed_topk_dims",
-        "customers_ldiversity", "docs_script_mix", "events_fano",
-        "kg_eccentricity", "events_cooccur_window", "supplier_lead_time",
-        "events_active_time", "orders_lineitem_mergejoin", "events_did",
-        "events_queue_wait", "lineitem_kendall", "embed_drift",
-        "docs_vocab_drift",
-    ]
     qs = em.queries()
+    names = [name for name, _fn, _sql, bench in em.registry() if bench]
     times: dict[str, float] = {}
     rows: dict[str, int] = {}
     for name in names:

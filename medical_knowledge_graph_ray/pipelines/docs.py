@@ -748,7 +748,7 @@ def dedup_components_sql() -> str:
     )
 
 
-def docs_tfidf_top(sf_dir: str, k: int = 5, *, streaming: bool | None = None):
+def docs_tfidf_top(sf_dir: str, k: int = 5):
     """Top-k TF-IDF terms per document — the canonical composed text-
     analytics pipeline: per-doc term counts (fused explode+count, a doc
     never splits across batches) ⋈ corpus document-frequency census on
@@ -756,14 +756,10 @@ def docs_tfidf_top(sf_dir: str, k: int = 5, *, streaming: bool | None = None):
     at scale, never a broadcast), then the grouped top-N combiner.
     idf = ln(N/df) rounded to 6 dp on both sides (engine float contract).
 
-    ``streaming`` (default ON — override with ``MKG_TFIDF_STREAMING=0``
-    or the parameter): the 100-TB-safe posture — skip the tf
-    materialize so NOTHING corpus-sized pins the object store; the lazy
-    tf plan simply re-executes for each of its two consumers (df census
-    + join probe), i.e. the corpus text is tokenized twice.  Identical
-    results (pytest-pinned); materialize mode remains for clusters
-    where a resident (doc, token, tf) table is cheaper than a second
-    text scan."""
+    Streaming throughout: tf is never materialized, so nothing
+    corpus-sized pins the object store; the lazy tf plan re-executes for
+    each of its two consumers (df census + join probe), i.e. the corpus
+    text is tokenized twice."""
     import numpy as np
     import pyarrow as pa
 
@@ -781,19 +777,10 @@ def docs_tfidf_top(sf_dir: str, k: int = 5, *, streaming: bool | None = None):
             .size().rename("tf").reset_index()
         )
 
-    # tokenize ONCE (default): tf is materialized and the df census
-    # derives from it (tf rows are globally unique per (doc, token), so
-    # df(token) is a plain row count — batch-split-safe with no nunique).
-    # The materialize keeps a corpus-sized (doc, token, tf) table
-    # resident (spilling bounds it); streaming mode drops it and pays a
-    # second tokenize pass instead — see the docstring knob.
-    import os
-
-    if streaming is None:
-        streaming = os.environ.get("MKG_TFIDF_STREAMING", "1") != "0"
+    # the df census derives from tf: tf rows are globally unique per
+    # (doc, token), so df(token) is a plain row count — batch-split-safe
+    # with no nunique
     tf = docs.map_batches(arrow_out(tf_batch), batch_format="pandas")
-    if not streaming:
-        tf = tf.materialize()
 
     def df_partial(b: pd.DataFrame) -> pd.DataFrame:
         return (

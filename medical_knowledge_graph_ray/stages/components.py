@@ -35,9 +35,6 @@ express.
 
 from __future__ import annotations
 
-import os
-import time
-
 import numpy as np
 import pandas as pd
 import pyarrow as pa
@@ -227,12 +224,6 @@ def connected_components(
             .repartition(num_buckets)
             .materialize()
         )
-        if os.environ.get("MKG_CC_DEBUG"):
-            print(
-                f"[cc] round changed={n_changed} blocks={labels.num_blocks()} "
-                f"t={time.time():.1f}",
-                flush=True,
-            )
         if not n_changed:
             break
     else:

@@ -30,6 +30,7 @@ don't matter.
 
 from __future__ import annotations
 
+import numpy as np
 import pandas as pd
 
 from ..functions.arrow import arrow_out
@@ -54,7 +55,7 @@ def hash_join(
     bucket_post=None,
     hot_keys=None,
     salt: int = 8,
-    skew: str | None = None,
+    skew: str = "off",
 ):
     """Partitioned hash join of two Datasets on equality keys.
 
@@ -97,24 +98,19 @@ def hash_join(
     ``skew``: ADAPTIVE skew handling.  ``"auto"`` mines hot keys from a
     bounded prefix sample of the LEFT side's key columns
     (``detect_hot_keys`` over ``SKEW_SAMPLE_ROWS`` rows — one cheap
-    column-pruned pass) and salts them; ``"off"`` disables; ``None``
-    (default) reads the ``MKG_JOIN_SKEW`` env var so every production
-    call site becomes adaptive with one switch.  Detection errors are
-    graceful in BOTH directions: salting a cold key only splits bucket
-    work (row-identical result), missing a hot key is the status quo.
+    column-pruned pass) and salts them; ``"off"`` (default) disables.
+    Detection errors are graceful in BOTH directions: salting a cold key
+    only splits bucket work (row-identical result), missing a hot key is
+    the status quo.
     ``how='full'`` ignores auto (salting is invalid there).  Explicit
     ``hot_keys`` wins over ``skew``.
     """
-    import os
-
     if how not in ("inner", "left", "full", "semi", "anti"):
         raise ValueError(f"unsupported join type: {how}")
     if num_buckets is None:
         from .shuffle import default_num_buckets
 
         num_buckets = default_num_buckets(per_cpu=1)
-    if skew is None:
-        skew = os.environ.get("MKG_JOIN_SKEW", "off")
     if skew not in ("off", "auto"):
         raise ValueError(f"unknown skew mode: {skew!r} (off|auto)")
     if hot_keys is None and skew == "auto" and how != "full":
@@ -168,16 +164,12 @@ def hash_join(
         return fn
 
     def _hot_mask(b: pd.DataFrame):
-        import numpy as np
-
         if len(on) == 1:
             return b[on[0]].isin(hot_keys).to_numpy()
         return np.asarray(pd.MultiIndex.from_frame(b[on]).isin(hot_keys))
 
     def _tag_salted(side: int):
         def fn(b: pd.DataFrame) -> pd.DataFrame:
-            import numpy as np
-
             base = (
                 pd.util.hash_pandas_object(b[on], index=False).to_numpy()
                 % num_buckets
@@ -355,6 +347,18 @@ def auto_join(
     return left.map_batches(arrow_out(batch_fn), batch_format="pandas")
 
 
+def range_bucket(k: np.ndarray, lo: int, hi: int, nb: int) -> np.ndarray:
+    """Range bucket ``clip(floor((k - lo) * nb / span), 0, nb - 1)`` of
+    int64 keys, exact over the whole int64 range: bucket ``j`` starts at
+    key ``lo + ceil(j * span / nb)``, found with Python-int bounds and one
+    ``searchsorted``, so no product ``(k - lo) * nb`` can wrap."""
+    span = max(hi - lo + 1, 1)
+    starts = [lo - (-j * span // nb) for j in range(1, nb)]
+    top = int(np.iinfo(np.int64).max)
+    starts = np.array([s for s in starts if s <= top], dtype=np.int64)
+    return np.searchsorted(starts, k, side="right").astype("int32")
+
+
 def merge_join(
     left,
     right,
@@ -384,10 +388,6 @@ def merge_join(
     key bounds (parquet footer min/max, catalog stats, or a sample —
     range partitioning always needs bounds; keys outside clamp into the
     edge buckets, which stays CORRECT, merely unbalanced)."""
-    import pandas as pd
-    import numpy as np
-
-    from ..functions.arrow import arrow_out
     from .shuffle import default_num_buckets
 
     nb = num_buckets or default_num_buckets()
@@ -400,14 +400,12 @@ def merge_join(
         return list(schema.names), dt
 
     lo_k, hi_k = int(key_range[0]), int(key_range[1])
-    span = max(hi_k - lo_k + 1, 1)
 
     def _tag(side: int):
         def fn(b: pd.DataFrame) -> pd.DataFrame:
             b = b.copy()
             k = b[on].to_numpy("int64")
-            b["_bucket"] = np.clip(
-                (k - lo_k) * nb // span, 0, nb - 1).astype("int32")
+            b["_bucket"] = range_bucket(k, lo_k, hi_k, nb)
             b[_SIDE_COL] = np.int8(side)
             return b
         return fn

@@ -156,11 +156,13 @@ def viterbi_segment(params: dict, text: str) -> list[str]:
         return [text]
     codes = np.frombuffer(text.encode("utf-32-le"), dtype=np.uint32
                           ).astype(np.int64)
-    pos = np.searchsorted(params["chars"], codes)
-    pos = np.clip(pos, 0, max(len(params["chars"]) - 1, 0))
-    hit = (len(params["chars"]) > 0) & (params["chars"][pos] == codes)
-    emis = np.where(hit[:, None], params["em"][pos],
-                    params["unseen"][None, :])
+    chars = params["chars"]
+    if len(chars) == 0:  # empty vocabulary: every char is unseen
+        emis = np.broadcast_to(params["unseen"], (n, 4))
+    else:
+        pos = np.clip(np.searchsorted(chars, codes), 0, len(chars) - 1)
+        emis = np.where((chars[pos] == codes)[:, None], params["em"][pos],
+                        params["unseen"][None, :])
     dp = params["start"] + emis[0]
     back = np.zeros((n, 4), dtype=np.int8)
     tr = params["tr"]

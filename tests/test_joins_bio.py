@@ -570,10 +570,10 @@ def test_bloom_semi_join_exact_and_prefilter_superset(ray_session):
     assert (member | ~truly).all()
 
 
-def test_skew_auto_matches_off_and_mines_hot_keys(ray_session, monkeypatch):
-    """skew='auto' (and the MKG_JOIN_SKEW env default) must mine the hot
-    key from the left prefix sample and produce row-identical results to
-    the plain join — the adaptive path is pure performance."""
+def test_skew_auto_matches_off_and_mines_hot_keys(ray_session):
+    """skew='auto' must mine the hot key from the left prefix sample and
+    produce row-identical results to the plain join — the adaptive path
+    is pure performance."""
     import ray.data as rd
 
     from medical_knowledge_graph_ray.stages.joins import hash_join
@@ -596,15 +596,6 @@ def test_skew_auto_matches_off_and_mines_hot_keys(ray_session, monkeypatch):
         .to_pandas()[cols].sort_values(cols).reset_index(drop=True)
     )
     pd.testing.assert_frame_equal(auto, plain)
-
-    # env-var default: skew=None resolves to MKG_JOIN_SKEW
-    monkeypatch.setenv("MKG_JOIN_SKEW", "auto")
-    via_env = (
-        hash_join(rd.from_pandas(left), rd.from_pandas(right),
-                  on=["k"], how="inner", num_buckets=8)
-        .to_pandas()[cols].sort_values(cols).reset_index(drop=True)
-    )
-    pd.testing.assert_frame_equal(via_env, plain)
 
     with pytest.raises(ValueError):
         hash_join(rd.from_pandas(left), rd.from_pandas(right),
@@ -680,3 +671,24 @@ def test_merge_join_equals_hash_join(ray_session):
     b = want[cols].sort_values(cols).reset_index(drop=True)
     pd.testing.assert_frame_equal(a, b)
     assert len(a) > 0
+
+
+def test_merge_join_range_bucket_spans_int64():
+    """Range buckets are exact where ``(k - lo) * nb`` overflows int64:
+    monotone in the key, every bucket used over the full int64 range,
+    and in-range keys keep ``floor((k - lo) * nb / span)``."""
+    from medical_knowledge_graph_ray.stages.joins import range_bucket
+
+    lo, hi = int(np.iinfo(np.int64).min), int(np.iinfo(np.int64).max)
+    step = (hi - lo) // 1000
+    k = np.array([lo + i * step for i in range(1001)] + [hi], dtype=np.int64)
+    b = range_bucket(k, lo, hi, 8)
+    assert (np.diff(b) >= 0).all()
+    assert sorted(set(b.tolist())) == list(range(8))
+
+    assert range_bucket(np.array([2**60], dtype=np.int64), -2**40, 2**60,
+                        8).tolist() == [7]
+
+    k = np.arange(100, 401, dtype=np.int64)
+    want = np.clip((k - 150) * 8 // 201, 0, 7)
+    assert range_bucket(k, 150, 350, 8).tolist() == want.tolist()

@@ -1190,24 +1190,6 @@ def test_skyline_kernel_matches_brute_and_combines():
     assert set(got["p_partkey"]) == brute(df)
 
 
-def test_tfidf_streaming_mode_matches_materialized(ray_session):
-    """The 100-TB knob: streaming (tokenize-twice, nothing corpus-sized
-    resident) and materialized tf produce identical top-k tables."""
-    import pandas as pd
-
-    from medical_knowledge_graph_ray.pipelines.docs import docs_tfidf_top
-
-    def run(streaming):
-        return (
-            docs_tfidf_top("/root/testdata/sf0.001", streaming=streaming)
-            .to_pandas()
-            .sort_values(["doc_id", "rank"])
-            .reset_index(drop=True)
-        )
-
-    pd.testing.assert_frame_equal(run(False), run(True))
-
-
 def test_profile_handles_nulls_and_types(ray_session, tmp_path):
     """profile_datasets on a synthetic table with NULLs in every kind:
     nulls excluded from distinct/min/max, counted in n_null; string

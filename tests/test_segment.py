@@ -59,6 +59,18 @@ def test_decode_learns_word_shape(ray_session):
     assert "".join(w2) == novel
 
 
+def test_decode_with_empty_vocabulary(ray_session):
+    """An empty char vocabulary decodes every char as unseen, exactly as
+    a vocabulary that holds none of the text's chars does."""
+    p = _params()
+    empty = dict(p, chars=p["chars"][:0], em=p["em"][:0])
+    absent = dict(p, chars=np.array([ord("z")], dtype=p["chars"].dtype),
+                  em=p["em"][:1])
+    words = viterbi_segment(empty, "abc")
+    assert "".join(words) == "abc"
+    assert words == viterbi_segment(absent, "abc")
+
+
 def test_tokenizer_hmm_integration_partitions(ray_session):
     p = _params()
     tok_plain = Tokenizer(_GAZ)
