@@ -77,34 +77,9 @@ def _docs_llm_prep(sf_dir: str):
 def _kg_bio_export(sf_dir: str):
     """Char-level BIO training rows (url, sent_ord, split, bio) from the
     pages corpus — the reference's NER-training export path (S4/O10/R6)."""
-    import pyarrow.compute as pc
+    from medical_knowledge_graph_ray.pipelines.kg import bio_dataset, corpus_for_sf
 
-    from medical_knowledge_graph_ray.pipelines.kg import (
-        _default_concurrency,
-        corpus_for_sf,
-        pages_dataset,
-    )
-    from medical_knowledge_graph_ray.stages.bio import bio_export_batch
-    from medical_knowledge_graph_ray.stages.extract import extract_text_batch
-    from medical_knowledge_graph_ray.stages.ner import EnsembleNER
-    from medical_knowledge_graph_ray.stages.sentences import split_batch
-    from medical_knowledge_graph_ray.stages.triples import (
-        clean_mentions_batch,
-        dedup_mentions_batch,
-    )
-
-    pages = pages_dataset(corpus_for_sf(sf_dir))
-    text = pages.map_batches(extract_text_batch, batch_format="pyarrow")
-    sents = text.select_columns(["url", "text"]).map_batches(
-        split_batch, batch_format="pyarrow"
-    )
-    mentions = sents.map_batches(
-        EnsembleNER, batch_format="pyarrow", batch_size=512,
-        concurrency=_default_concurrency(), num_cpus=1,
-    )
-    cleaned = mentions.map_batches(clean_mentions_batch, batch_format="pyarrow")
-    deduped = cleaned.map_batches(dedup_mentions_batch, batch_format="pyarrow")
-    return deduped.map_batches(bio_export_batch, batch_format="pyarrow")
+    return bio_dataset(corpus_for_sf(sf_dir))
 
 
 def _kg_extract_audit(sf_dir: str):

@@ -58,12 +58,6 @@ def main(argv: list[str] | None = None) -> int:
     run.add_argument("--no-resume", action="store_true")
     run.add_argument("--n-shards", type=int, default=8)
     run.add_argument(
-        "--ner-concurrency", default=None,
-        help="NER actor-pool size: an int (fixed, default cpus-4) or "
-        "'lo:hi' autoscaling bounds (north_star knob; fixed pools "
-        "measured faster for short jobs)",
-    )
-    run.add_argument(
         "--config", default=None,
         help="EngineConfig YAML/JSON: gazetteer (inline or file path), "
         "prediction_models, ner_on, merging, tuning (SURVEY §2.12)",
@@ -227,13 +221,6 @@ def main(argv: list[str] | None = None) -> int:
                 DataContext.get_current().target_max_block_size = (
                     args.target_block_mb * 1024 * 1024
                 )
-            conc = args.ner_concurrency
-            if conc is not None:
-                conc = (
-                    tuple(int(x) for x in conc.split(":"))
-                    if ":" in conc
-                    else int(conc)
-                )
             cfg = None
             if args.config:
                 from .config import EngineConfig
@@ -266,7 +253,6 @@ def main(argv: list[str] | None = None) -> int:
             m = run_kg(
                 args.corpus,
                 args.out,
-                ner_concurrency=conc,
                 resume=not args.no_resume,
                 n_shards=args.n_shards,
                 config=cfg,
@@ -277,26 +263,10 @@ def main(argv: list[str] | None = None) -> int:
                 )
             )
         elif args.cmd == "export-bio":
-            from .pipelines.kg import pages_dataset, _default_concurrency
+            from .pipelines.kg import bio_dataset
             from .stages.bio import write_bio_corpus
-            from .stages.extract import extract_text_batch
-            from .stages.ner import EnsembleNER
-            from .stages.sentences import split_batch
-            from .stages.triples import clean_mentions_batch, dedup_mentions_batch
 
-            pages = pages_dataset(args.corpus)
-            text = pages.map_batches(extract_text_batch, batch_format="pyarrow")
-            sents = text.select_columns(["url", "text"]).map_batches(
-                split_batch, batch_format="pyarrow"
-            )
-            mentions = sents.map_batches(
-                EnsembleNER, batch_format="pyarrow", batch_size=512,
-                concurrency=_default_concurrency(), num_cpus=1,
-            )
-            deduped = mentions.map_batches(
-                clean_mentions_batch, batch_format="pyarrow"
-            ).map_batches(dedup_mentions_batch, batch_format="pyarrow")
-            write_bio_corpus(deduped, args.out)
+            write_bio_corpus(bio_dataset(args.corpus), args.out)
             print(json.dumps({"out": args.out}))
         elif args.cmd == "prep":
             from .pipelines.docs_prep import run_docs_prep

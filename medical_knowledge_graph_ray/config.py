@@ -21,18 +21,17 @@ Knobs (reference analogues):
 * ``merging`` — False ⇒ skip the E1-E7 rule-merge stage
   (``config.yaml`` ``merging`` switch consumed at
   ``generation.py:304-340``).
-* ``ner_batch_size`` / ``ner_concurrency`` — physical tuning
-  (actor-pool bounds per the north_star).
-* ``ner_num_gpus`` — per-actor GPU reservation for the NER scorer pool
+* ``ner_batch_size`` — physical tuning: sentences per NER task batch.
+* ``ner_num_gpus`` — per-task GPU reservation for the NER scorer tasks
   (the reference moves its models to CUDA when available,
   ``multi_source_ner.py:819-825``).  ``None`` (default) requests no
   GPUs — a no-op in CPU-only sessions; on a GPU cluster set e.g. 0.5
-  to pack two scorer actors per device.
+  to pack two scorer tasks per device.
 * ``trained_model_dir`` — a ``stages/perceptron.save_tagger`` artifact
   directory; when set, the TRAINED tagger joins the ensemble as a real
   voting member (the reference's trained-models + dictionary ensemble,
   ``EnsemblePredict_all.py:436-441``).  Must be on storage visible to
-  every worker (each scorer actor loads it once in ``__init__``).
+  every worker (each worker process loads it once).
 * ``eval_override`` — ``{model: {etype: [strict, partial, exact, type]}}``
   precision matrix derived from held-out evaluation
   (``stages/muc_eval.eval_matrix_from``) replacing the default artifact —
@@ -52,7 +51,6 @@ class EngineConfig:
     ner_on: bool = True
     merging: bool = True
     ner_batch_size: int | None = None
-    ner_concurrency: int | tuple[int, int] | None = None
     ner_num_gpus: float | None = None
     trained_model_dir: str | None = None
     neural_model_dir: str | None = None
@@ -81,12 +79,9 @@ class EngineConfig:
         models = raw.get("prediction_models")
         if models is not None:
             models = tuple(models)
-        conc = raw.get("ner_concurrency")
-        if isinstance(conc, list):
-            conc = tuple(conc)
         known = {
             "gazetteer", "prediction_models", "ner_on", "merging",
-            "ner_batch_size", "ner_concurrency", "ner_num_gpus",
+            "ner_batch_size", "ner_num_gpus",
             "trained_model_dir", "neural_model_dir", "eval_override",
         }
         return cls(
@@ -95,7 +90,6 @@ class EngineConfig:
             ner_on=raw.get("ner_on", True),
             merging=raw.get("merging", True),
             ner_batch_size=raw.get("ner_batch_size"),
-            ner_concurrency=conc,
             ner_num_gpus=raw.get("ner_num_gpus"),
             trained_model_dir=raw.get("trained_model_dir"),
             neural_model_dir=raw.get("neural_model_dir"),

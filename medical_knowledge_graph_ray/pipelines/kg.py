@@ -7,8 +7,8 @@ The Ray-Data-first re-expression of the reference's end-to-end flow
     read_parquet(pages: url, warc_ts, html, text, lang)        # prune: url/html/lang only
      → map_batches(extract_text)        stateless               # byte-identical text per url
      → map_batches(split_sentences)     stateless, explode
-     → map_batches(EnsembleNER, actor pool)                     # members + dict + voting resident per actor
-     → map_batches(clean → dedup → triples)  stateless, batch-local D2
+     → map_batches(MentionStage, tasks)                         # members + dict + voting built once per worker process
+         (NER → clean → rules → dedup → triples)                # batch-local D2
      → checkpoint triples (Parquet + lineage manifest)
      → nodes:  partial combine → groupby(node key) agg          # shuffle #1 (tiny: partials only)
      → edges:  partial combine → groupby(s,p,o) agg → sort(subj)# shuffle #2 + range sort
@@ -34,7 +34,7 @@ from ..stages.canonicalize import (
     partial_nodes_batch,
 )
 from ..stages.extract import extract_text_batch
-from ..stages.ner import EnsembleNER
+from ..stages.ner import ensemble_batch, memo_stage
 from ..stages.sentences import split_batch
 from ..stages.triples import (
     clean_mentions_batch,
@@ -46,28 +46,14 @@ from ..state.manifests import read_stage, stage_complete, write_stage
 # corpus size per scale-factor dir name (deterministic synthetic corpus;
 # sf0.001 ≈ driver smoke, sf0.01 ≈ correctness, sf0.1 ≈ bench).  The bench
 # corpus is sized so per-batch compute dominates the fixed per-run costs
-# (~11 s: 3 execution startups + actor-pool spin-up + checkpoint write) —
-# at 50 k pages those constants capped two-scale efficiency at ~0.5.
+# (execution start-ups + checkpoint write) — at 50 k pages those
+# constants capped two-scale efficiency at ~0.5.
 PAGES_PER_SF = {"sf0.001": 500, "sf0.01": 20_000, "sf0.1": 400_000}
 
-
-def _default_concurrency() -> int:
-    """Fixed actor-pool size = cluster CPUs minus headroom for the read /
-    write task operators.  A pool that reserves every CPU deadlocks the
-    streaming executor (upstream tasks can never run) — MEASURED at 2
-    CPUs, where the old ``max(2, cpus-4)`` floor took both cores and the
-    read task backpressured forever — so the size is additionally capped
-    at ``cpus - 1`` (≥1 CPU always free for the task operators).  An
-    autoscaling pool ramps up too slowly for short jobs — measured
-    10.4 s (autoscale 1→32) vs 5.5 s (fixed 28) for the identical sf0.1
-    flagship run."""
-    try:
-        import ray
-
-        cpus = int(ray.cluster_resources().get("CPU", 8))
-    except Exception:
-        cpus = 8
-    return max(1, min(cpus - 1, max(2, cpus - 4)))
+# sentences per NER task batch (``EngineConfig.ner_batch_size`` overrides).
+# The triple set does not depend on it (test_triples_invariant_to_batching),
+# but ``prob`` can move in the last bits (ROADMAP item 9).
+NER_BATCH_SIZE = 2048
 
 
 def pages_dataset(corpus_dir: str):
@@ -93,16 +79,15 @@ def corpus_for_sf(sf_dir: str, root: str = "/tmp/mkg_corpus") -> str:
 
 
 class MentionStage:
-    """ONE actor pool for the whole per-sentence path: ensemble NER → O14
+    """ONE stage for the whole per-sentence path: ensemble NER → O14
     boundary strip → E4/E5 rule merging → D2 max-prob dedup → O15
     confidence cleansing → triple emission (implicit + taboo).
 
     Everything after the NER call is batch-local by construction (all
     mentions of a sentence live in the emitting batch), so chaining the
-    stages inside one actor removes five object-store round-trips per
-    batch AND avoids multiple actor pools contending for CPUs (two pools
-    on a small node can deadlock the streaming executor waiting for
-    actors that can never start).
+    stages inside one call removes five object-store round-trips per
+    batch.  Pipelines run it as Ray tasks through ``mention_batch``,
+    which builds it once per worker process and config.
     """
 
     def __init__(self, gazetteer: dict[str, str] | None = None, config=None):
@@ -114,9 +99,9 @@ class MentionStage:
         gaz = gazetteer if gazetteer is not None else cfg.gazetteer
         # ner_on=False (reference switch): dictionary-only labeling
         members = cfg.prediction_models if cfg.ner_on else ()
-        # trained tagger as a voting member (M2): each actor loads the
-        # sparse weight artifact once in __init__ (shared-FS path, same
-        # visibility requirement as run_kg's sinks)
+        # trained tagger as a voting member (M2): each worker process
+        # loads the sparse weight artifact once, in __init__ (shared-FS
+        # path, same visibility requirement as run_kg's sinks)
         trained_w = None
         if cfg.trained_model_dir and cfg.ner_on:
             from ..stages.perceptron import load_tagger
@@ -161,15 +146,35 @@ class MentionStage:
         return pa.Table.from_pandas(out, schema=TRIPLE_SCHEMA, preserve_index=False).replace_schema_metadata(None)
 
 
+def mention_batch(batch, config=None):
+    """``MentionStage`` as a ``map_batches`` task function: one stage per
+    worker process and config, memoized on ``_config_fingerprint`` (a
+    tuning-only config shares the default stage)."""
+    stage = memo_stage(
+        ("mention", _config_fingerprint(config)),
+        lambda: MentionStage(config=config),
+    )
+    return stage(batch)
+
+
+def split_pages(pages):
+    """pages Dataset → (url, sent_ord, sentence, …) rows: the extract +
+    split prefix shared by every NER pipeline."""
+    text = pages.map_batches(extract_text_batch, batch_format="pyarrow")
+    return text.select_columns(["url", "text"]).map_batches(
+        split_batch, batch_format="pyarrow"
+    )
+
+
 def triples_dataset(
-    pages, *, ner_concurrency=None, ner_batch_size: int | None = None,
-    sentence_tee=None, config=None,
+    pages, *, ner_batch_size: int | None = None, sentence_tee=None,
+    config=None,
 ):
     """pages Dataset → lazy triples Dataset (no checkpoint).
 
     Stage order mirrors the reference lifecycle (SURVEY §3.3): extract →
-    split → [MentionStage actor pool: NER + strip + rules + dedup +
-    cleansing + triples].
+    split → [MentionStage tasks: NER + strip + rules + dedup + cleansing
+    + triples].
 
     ``sentence_tee``: optional pass-through ``pa.Table → pa.Table``
     inserted after the split — run_kg uses it to write the source_info
@@ -178,22 +183,17 @@ def triples_dataset(
 
     ``config``: an ``EngineConfig`` (gazetteer override, ensemble member
     registry, ner_on / merging switches, tuning — SURVEY §2.12)."""
-    conc = ner_concurrency or (
-        config.ner_concurrency if config and config.ner_concurrency else None
-    ) or _default_concurrency()
     # explicit arg > config knob > default (the arg default must be None
     # or the config knob is dead)
     batch_size = ner_batch_size or (
         config.ner_batch_size if config and config.ner_batch_size else None
-    ) or 512
-    text = pages.map_batches(extract_text_batch, batch_format="pyarrow")
-    text = text.select_columns(["url", "text"])
-    sents = text.map_batches(split_batch, batch_format="pyarrow")
+    ) or NER_BATCH_SIZE
+    sents = split_pages(pages)
     if sentence_tee is not None:
         sents = sents.map_batches(sentence_tee, batch_format="pyarrow")
-    # GPU-aware scorer pool: a per-actor GPU reservation (no-op when the
+    # GPU-aware scorer tasks: a per-task GPU reservation (no-op when the
     # config leaves it None — this CPU sandbox — but on a GPU cluster the
-    # pool schedules onto GPU nodes exactly like the reference's
+    # tasks schedule onto GPU nodes exactly like the reference's
     # model.cuda() path, multi_source_ner.py:819-825)
     gpu_kw = (
         {"num_gpus": config.ner_num_gpus}
@@ -201,12 +201,10 @@ def triples_dataset(
         else {}
     )
     return sents.map_batches(
-        MentionStage,
-        fn_constructor_kwargs={"config": config} if config is not None else None,
+        mention_batch,
+        fn_kwargs={"config": config},
         batch_format="pyarrow",
         batch_size=batch_size,
-        concurrency=conc,
-        num_cpus=1,
         **gpu_kw,
     )
 
@@ -214,10 +212,22 @@ def triples_dataset(
 def sentences_dataset(corpus_dir: str):
     """pages → (url, sent_ord, sentence, …) rows (the shared prefix of the
     flagship, BIO-export and evaluation pipelines)."""
-    pages = pages_dataset(corpus_dir)
-    text = pages.map_batches(extract_text_batch, batch_format="pyarrow")
-    return text.select_columns(["url", "text"]).map_batches(
-        split_batch, batch_format="pyarrow"
+    return split_pages(pages_dataset(corpus_dir))
+
+
+def bio_dataset(corpus_dir: str):
+    """Char-level BIO training rows (url, sent_ord, split, bio) from a
+    page corpus — the reference's NER-training export path (S4/O10/R6):
+    sentences → ensemble NER → strip → dedup → BIO encoding."""
+    from ..stages.bio import bio_export_batch
+
+    return (
+        sentences_dataset(corpus_dir)
+        .map_batches(ensemble_batch, batch_format="pyarrow",
+                     batch_size=NER_BATCH_SIZE)
+        .map_batches(clean_mentions_batch, batch_format="pyarrow")
+        .map_batches(dedup_mentions_batch, batch_format="pyarrow")
+        .map_batches(bio_export_batch, batch_format="pyarrow")
     )
 
 
@@ -444,7 +454,6 @@ def run_kg(
     corpus_dir: str,
     out_root: str,
     *,
-    ner_concurrency=None,
     resume: bool = True,
     n_shards: int = 8,
     config=None,
@@ -459,9 +468,9 @@ def run_kg(
     complete shards: the input is re-scanned but every page whose bucket
     is already done is filtered out right after the read, so only the
     missing shards pay extraction/NER/rules compute.  All incomplete
-    shards run in ONE streaming execution (one actor pool, one fixed
-    cost) and split at the sink via ``partition_cols`` — per-shard
-    executions would pay pool startup per shard (~2.6 s each, measured).
+    shards run in ONE streaming execution (one fixed cost) and split at
+    the task-side sink — per-shard executions would pay execution
+    start-up per shard (~2.6 s each, measured).
 
     Tradeoff vs input-file-group shards: resume re-reads the (cheap,
     column-pruned) input once; choose file-group sharding instead when
@@ -626,22 +635,16 @@ def run_kg(
 
         if tri_inc:
             tri = triples_dataset(
-                pages, ner_concurrency=ner_concurrency,
-                ner_batch_size=(
-                    config.ner_batch_size
-                    if config and config.ner_batch_size else 2048
-                ),
-                sentence_tee=sentence_tee if si_inc else None, config=config,
+                pages, sentence_tee=sentence_tee if si_inc else None,
+                config=config,
             )
             tri.map_batches(shard_write, batch_format="pyarrow").count()
         else:
             # source_info-only rebuild: the lineage table needs just the
-            # CHEAP extract+split prefix — never the NER actor pool
-            text = pages.map_batches(extract_text_batch, batch_format="pyarrow")
-            sents = text.select_columns(["url", "text"]).map_batches(
-                split_batch, batch_format="pyarrow"
-            )
-            sents.map_batches(sentence_tee, batch_format="pyarrow").count()
+            # CHEAP extract+split prefix — never the NER stage
+            split_pages(pages).map_batches(
+                sentence_tee, batch_format="pyarrow"
+            ).count()
         import pyarrow.parquet as pq
 
         def _assemble(tmp_root, dst_fn, fp_fn, stage_name, inc):
@@ -760,7 +763,7 @@ def active_learning_seeds(sf_dir: str, n: int = 200):
     count.  Unanimous sentences score 0; a sentence whose members all
     disagree scores ~1.
 
-    Shape: one EnsembleNER actor-pool pass → vectorized per-batch
+    Shape: one EnsembleNER task pass → vectorized per-batch
     (url, sent_ord) partials → global top-n through grouped_topn's
     combiner (the exchange carries ≤ n rows per batch, never the
     corpus)."""
@@ -774,8 +777,7 @@ def active_learning_seeds(sf_dir: str, n: int = 200):
     corpus = corpus_for_sf(sf_dir)
     sents = sentences_dataset(corpus)
     mentions = sents.map_batches(
-        EnsembleNER, batch_format="pyarrow", batch_size=1024,
-        concurrency=_default_concurrency(), num_cpus=1,
+        ensemble_batch, batch_format="pyarrow", batch_size=NER_BATCH_SIZE
     )
     M = len(MODEL_NAMES)
     member_set = frozenset(MODEL_NAMES)

@@ -83,7 +83,7 @@ def ensure_trained_tagger(
     version), so a re-run with the same corpus returns the existing
     artifact without touching Ray — the same manifest-keyed posture as
     the search/PQ indexes.  Returns the model directory (must live on
-    shared storage for multi-node serving — each scorer actor loads it)."""
+    shared storage for multi-node serving — each scorer process loads it)."""
     import json
     import os
 
@@ -273,10 +273,10 @@ def neural_kg_config(
 ):
     """Train (checkpointed) → evaluate the ensemble INCLUDING the neural
     member on the held-out split → derive the eval matrix → an
-    EngineConfig whose scorer pool votes with the neural tagger under
+    EngineConfig whose scorer votes with the neural tagger under
     those derived precisions (the ``trained_kg_config`` loop for the
     neural member; ``EngineConfig.ner_num_gpus`` places the scorer
-    actors on GPUs where present — the numpy forward is the CPU
+    tasks on GPUs where present — the numpy forward is the CPU
     fallback and the same code path)."""
     from ..config import EngineConfig
     from ..stages.muc_eval import eval_matrix_from

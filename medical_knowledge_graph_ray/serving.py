@@ -13,7 +13,7 @@ socket server) binds the actor's ``predict``/``search`` methods 1:1;
 nothing in the engine depends on a web framework being installed.
 
 Online ≡ offline is structural: the actor scores through the same
-``EnsembleNER`` the batch pipeline's actor pool uses, so a sentence
+``EnsembleNER`` the batch pipeline's NER tasks use, so a sentence
 served interactively and the same sentence flowing through
 ``run_kg`` can never disagree (pytest-pinned, including through the
 actor boundary).

@@ -161,9 +161,7 @@ _TRAINING_STATE: dict = {}
 
 def _training_state():
     """Process-cached tokenizer + non-essential matcher for the training
-    path (Ray reuses worker processes, so this builds once per worker —
-    kept OUT of an actor pool because the BIO export runs downstream of
-    the EnsembleNER pool and two pools deadlock the streaming executor).
+    path (Ray reuses worker processes, so this builds once per worker).
 
     The tokenizer's lexicon adds the non-essential words with their
     lowercase jieba flags (config.yaml jieba_inverted) — the userdict
@@ -243,12 +241,11 @@ def bio_export_batch(batch: pa.Table) -> pa.Table:
     return pa.Table.from_pandas(out, preserve_index=False).replace_schema_metadata(None)
 
 
-def write_bio_corpus(mentions_ds, out_dir: str) -> None:
+def write_bio_corpus(bio_ds, out_dir: str) -> None:
     """S4: write split-partitioned BIO Parquet (url-keyed, resumable) —
-    one directory per split so training jobs read only their slice."""
-    encoded = mentions_ds.map_batches(
-        bio_export_batch, batch_format="pyarrow"
-    ).materialize()  # one execution; the BIO table is small vs its inputs
+    one directory per split so training jobs read only their slice.
+    ``bio_ds`` holds ``bio_export_batch`` rows (``kg.bio_dataset``)."""
+    encoded = bio_ds.materialize()  # one execution; the BIO table is small vs its inputs
     for split in ("train", "val", "test"):
         part = encoded.filter(expr=f"split == '{split}'")
         part.write_parquet(f"{out_dir}/{split}")

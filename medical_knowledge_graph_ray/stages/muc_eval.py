@@ -200,7 +200,7 @@ def weights_from_eval(eval_df: pd.DataFrame) -> dict[str, dict[str, float]]:
 
 
 class MucEvalStage:
-    """Actor-pool ``map_batches`` combiner: sentence rows → per-(model,
+    """``map_batches`` combiner: sentence rows → per-(model,
     ent_type, schema) count partials.
 
     Gold is the full-gazetteer longest-match span set (ground truth by
@@ -285,36 +285,26 @@ class MucEvalStage:
         return pa.Table.from_pandas(out, preserve_index=False).replace_schema_metadata(None)
 
 
-_STAGE_CACHE: dict = {}
-
-
-class _EvalPartials:
-    """Task-pool form of ``MucEvalStage`` with per-process cached state.
+def muc_eval_partials_batch(
+    batch: pd.DataFrame, trained_model_dir: str | None = None,
+    neural_model_dir: str | None = None,
+):
+    """``MucEvalStage`` as a task function, one stage per worker process
+    (``memo_stage``, keyed on the model dirs).
 
     A fixed actor pool here STARVES the downstream shuffle: Ray fuses the
     whole cheap upstream (read→extract→split→filter) into the pool, and
     the pool's reserved CPUs aren't available to the aggregate's sort
     tasks — measured 18.9 s (28-actor pool) vs 10.3 s (8) vs task pool
-    (elastic) for the identical sf0.1 evaluation.  Ray reuses worker
-    processes, so the matcher (and trained-weight load) still happens
-    once per worker — the cache key is the trained-model dir."""
+    (elastic) for the identical sf0.1 evaluation."""
+    from .ner import memo_stage
 
-    def __init__(self, trained_model_dir: str | None = None,
-                 neural_model_dir: str | None = None):
-        self.key = (trained_model_dir, neural_model_dir)
-
-    def __call__(self, batch: pd.DataFrame):
-        stage = _STAGE_CACHE.get(self.key)
-        if stage is None:
-            stage = _STAGE_CACHE[self.key] = MucEvalStage(
-                trained_model_dir=self.key[0], neural_model_dir=self.key[1]
-            )
-        return stage(batch)
-
-
-def muc_eval_partials_batch(batch: pd.DataFrame):
-    """Back-compat default-ensemble form (no trained member)."""
-    return _EvalPartials(None)(batch)
+    stage = memo_stage(
+        ("muc_eval", trained_model_dir, neural_model_dir),
+        lambda: MucEvalStage(trained_model_dir=trained_model_dir,
+                             neural_model_dir=neural_model_dir),
+    )
+    return stage(batch)
 
 
 def ner_eval_dataset(
@@ -334,7 +324,9 @@ def ner_eval_dataset(
     milliseconds.  Same collect-the-bounded-artifact posture as the q1
     rollup and the gapfill grid."""
     partials = sentences.map_batches(
-        _EvalPartials(trained_model_dir, neural_model_dir),
+        muc_eval_partials_batch,
+        fn_kwargs={"trained_model_dir": trained_model_dir,
+                   "neural_model_dir": neural_model_dir},
         batch_format="pandas",
         batch_size=batch_size,
     ).to_pandas()  # ≤ tasks × 144 count rows — bounded artifact

@@ -1,10 +1,10 @@
 """Ensemble NER stage: multi-member scoring + union-then-vote merging.
 
 Re-expresses the reference's full-corpus ensemble labeling
-(``EnsemblePredict_all.py``) as ONE Ray Data actor-pool stage: all ensemble
-members are resident in a single actor (the reference holds 4-5 models in
-one process, ``EnsemblePredict_all.py:436-441``), each sentence batch visits
-one actor, and the actor emits exploded mention rows.
+(``EnsemblePredict_all.py``) as ONE Ray Data stage run as tasks: all
+ensemble members live in one object (the reference holds 4-5 models in one
+process, ``EnsemblePredict_all.py:436-441``), built once per worker process
+(``memo_stage``), and each sentence batch becomes exploded mention rows.
 
 Semantics mirrored (see SURVEY §2.10):
 
@@ -200,7 +200,7 @@ class NeuralMember(TrainedMember):
     embeddings → tanh hidden → softmax BIO) as an ensemble member — the
     reference's CNN-BiLSTM-CRF role (``multi_source_ner.py:140-372``;
     padded batch path ``:757-801`` ≙ ``mega_decode``), CPU-sized.  When
-    ``EngineConfig.ner_num_gpus`` is set the scorer actors are placed on
+    ``EngineConfig.ner_num_gpus`` is set the scorer tasks are placed on
     GPUs; the numpy forward runs unchanged either way (CPU fallback is
     the same code path).  Inherits the decode plumbing and the
     exact-span corroboration gate from ``TrainedMember``; unlike the
@@ -274,11 +274,12 @@ def union_strong_spans(
 
 
 class EnsembleNER:
-    """Actor-pool ``map_batches`` stage: sentence rows → mention rows.
+    """``map_batches`` stage: sentence rows → mention rows.
 
-    All members + the full dictionary + the eval matrix are built once per
-    actor in ``__init__`` (M2/M3/M4 state, SURVEY §2.3); ``__call__`` does
-    per-batch work only.
+    All members + the full dictionary + the eval matrix are built in
+    ``__init__`` (M2/M3/M4 state, SURVEY §2.3), once per worker process
+    when run through ``memo_stage``; ``__call__`` does per-batch work
+    only.
     """
 
     def __init__(
@@ -710,3 +711,23 @@ class EnsembleNER:
             },
             schema=MENTION_SCHEMA,
         )
+
+
+_STAGES: dict = {}
+
+
+def memo_stage(key, build):
+    """Per-process memo of the stateful NER stages, which run as Ray tasks.
+
+    Ray reuses worker processes, so each worker calls ``build()`` once per
+    ``key`` and every later task on it reuses the stage.  The key must
+    name everything the stage is built from."""
+    stage = _STAGES.get(key)
+    if stage is None:
+        stage = _STAGES[key] = build()
+    return stage
+
+
+def ensemble_batch(batch: pa.Table) -> pa.Table:
+    """The default ``EnsembleNER`` as a ``map_batches`` task function."""
+    return memo_stage("ensemble", EnsembleNER)(batch)

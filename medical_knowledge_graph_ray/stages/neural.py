@@ -3,7 +3,7 @@ member of the ensemble (reference ``multi_source_ner.py:140-372`` trains
 a CNN-BiLSTM-CRF on a GPU; this is the same role re-expressed as a
 CPU-sized hashed-feature neural network trained data-parallel on Ray,
 with the forward/backward in numpy so it runs in any worker — when a
-GPU is present, ``EngineConfig.ner_num_gpus`` places the scoring actors
+GPU is present, ``EngineConfig.ner_num_gpus`` places the scoring tasks
 on it and the same numpy math runs under cupy-compatible layouts).
 
 Architecture (fastText-family sum-of-embeddings tagger):

@@ -1,4 +1,4 @@
-"""RulesMerge actor stage: mention table → mention table + rule-merged
+"""RulesMerge stage: mention table → mention table + rule-merged
 entities (the distributed packaging of STEP4/5/6,
 ``clean_and_save.py:605-709``).
 

@@ -13,7 +13,7 @@
   emits every mention of a sentence inside one batch, so all duplicate
   candidates are co-located by construction.  PARTITIONING ASSUMPTION:
   mention rows for one sentence never span batches (guaranteed because the
-  NER actor explodes each sentence row into its mentions within a single
+  NER stage explodes each sentence row into its mentions within a single
   output batch and no repartition runs in between).
 
 * **Triple emission** — the reference's implicit triple model (SURVEY §0):

@@ -57,6 +57,26 @@ def test_mention_stage_switches():
     assert 0 < len(dict_only) <= len(base)
 
 
+def test_mention_batch_memo_keys_on_config():
+    """The task form builds one MentionStage per process and config: a
+    semantic config must get its own stage, a tuning-only one must reuse
+    the default stage."""
+    from medical_knowledge_graph_ray.pipelines.kg import mention_batch
+    from medical_knowledge_graph_ray.stages.ner import _STAGES
+
+    batch = _sent_batch(SENTS)
+    dict_only = EngineConfig(ner_on=False, merging=False)
+    default = mention_batch(batch, config=None)
+    got = mention_batch(batch, config=dict_only)
+    assert got.equals(MentionStage(config=dict_only)(batch))
+    assert not got.equals(default)
+
+    stage, keys = _STAGES["mention", "default"], set(_STAGES)
+    tuned = mention_batch(batch, config=EngineConfig(ner_batch_size=9999))
+    assert set(_STAGES) == keys and _STAGES["mention", "default"] is stage
+    assert tuned.equals(default)
+
+
 def test_config_from_file_json(tmp_path):
     gaz_path = tmp_path / "gaz.json"
     gaz_path.write_text(json.dumps({"发热": "SYM"}))
@@ -65,15 +85,14 @@ def test_config_from_file_json(tmp_path):
         "gazetteer": str(gaz_path),
         "prediction_models": ["a", "b"],
         "merging": False,
-        "ner_concurrency": [2, 4],
+        "ner_concurrency": [2, 4],  # a removed knob: kept as an extra
         "custom_knob": 7,
     }))
     cfg = EngineConfig.from_file(str(cfg_path))
     assert cfg.gazetteer == {"发热": "SYM"}
     assert cfg.prediction_models == ("a", "b")
     assert cfg.merging is False and cfg.ner_on is True
-    assert cfg.ner_concurrency == (2, 4)
-    assert cfg.extras == {"custom_knob": 7}
+    assert cfg.extras == {"ner_concurrency": [2, 4], "custom_knob": 7}
 
 
 def test_config_fingerprint_semantics():

@@ -21,7 +21,7 @@ import pytest
 _CHILD = """
 import sys, ray
 out, tmpdir = sys.argv[1], sys.argv[2]
-ray.init(address="local", num_cpus=2, include_dashboard=False,
+ray.init(address="local", num_cpus=int(sys.argv[4]), include_dashboard=False,
          logging_level="ERROR", _temp_dir=tmpdir)
 from ray.data import DataContext
 DataContext.get_current().enable_progress_bars = False
@@ -71,7 +71,7 @@ def test_sigkill_mid_run_then_resume_identical(ray_session, tmp_path):
     env["PYTHONPATH"] = os.getcwd()
     log = open(str(tmp_path / "child.log"), "wb")
     p = subprocess.Popen(
-        [sys.executable, child_py, out_crash, ray_tmp, corpus],
+        [sys.executable, child_py, out_crash, ray_tmp, corpus, "2"],
         cwd=os.getcwd(), env=env, stdout=log, stderr=log,
         start_new_session=True,
     )
@@ -148,3 +148,51 @@ def test_shard_manifest_crash_resume_skips_done_shards(ray_session, tmp_path):
     with open(os.path.join(out, "triples", "shard_0000",
                            "_MANIFEST.json")) as f:
         assert json.load(f)["stage"] == "triples/shard_0000"
+
+
+def test_run_kg_completes_on_one_cpu(ray_session, tmp_path):
+    """ROADMAP 4a: ``run_kg`` on a real ``num_cpus=1`` cluster finishes and
+    matches a run on this session's cluster.  A stage that reserves the
+    only CPU ahead of the read (the former NER actor pool) hangs here, so
+    the child gets a hard timeout."""
+    from medical_knowledge_graph_ray.pipelines.kg import run_kg
+    from medical_knowledge_graph_ray.sources.pages import generate_pages
+
+    corpus = str(tmp_path / "pages")
+    out_one = str(tmp_path / "out_one")
+    generate_pages(60, corpus)
+    child_py = str(tmp_path / "child.py")
+    with open(child_py, "w") as f:
+        f.write(_CHILD)
+    ray_tmp = f"/tmp/mkg_onecpu_ray_{os.getpid()}"
+    env = dict(os.environ)
+    env.pop("RAY_ADDRESS", None)
+    env["PYTHONPATH"] = os.getcwd()
+    log_path = str(tmp_path / "child.log")
+    with open(log_path, "wb") as log:
+        p = subprocess.Popen(
+            [sys.executable, child_py, out_one, ray_tmp, corpus, "1"],
+            cwd=os.getcwd(), env=env, stdout=log, stderr=log,
+            start_new_session=True,
+        )
+        try:
+            rc = p.wait(timeout=120)
+        except subprocess.TimeoutExpired:
+            rc = None
+        finally:
+            if p.poll() is None:
+                os.killpg(p.pid, signal.SIGKILL)
+                p.wait(timeout=60)
+            time.sleep(1.5)
+            _kill_leftovers(ray_tmp)
+    assert rc is not None, "run_kg hung on a 1-CPU cluster (120 s timeout)"
+    assert rc == 0, open(log_path, errors="replace").read()[-2000:]
+
+    out_ref = str(tmp_path / "out_ref")
+    run_kg(corpus, out_ref, n_shards=8)
+    for sub, cols in (
+        ("edges", ["subj_id", "pred", "obj_id"]),
+        ("triples", ["url", "sent_ord", "subj", "pred", "obj"]),
+    ):
+        assert _table_hash(out_one, sub, cols) == \
+            _table_hash(out_ref, sub, cols), sub

@@ -1,18 +1,18 @@
 """Parallelism-invariance: the triple set must be identical at any batch
-size / concurrency / block structure (SURVEY §4 Ordering — the whole point
+size / block structure (SURVEY §4 Ordering — the whole point
 of content-stable keys and batch-local semantics)."""
 
 import pandas as pd
 import pytest
 
 
-def _triples(corpus, batch_size, concurrency, blocks=None):
+def _triples(corpus, batch_size, blocks=None):
     from medical_knowledge_graph_ray.pipelines.kg import pages_dataset, triples_dataset
 
     pages = pages_dataset(corpus)
     if blocks:
         pages = pages.repartition(blocks)
-    ds = triples_dataset(pages, ner_concurrency=concurrency, ner_batch_size=batch_size)
+    ds = triples_dataset(pages, ner_batch_size=batch_size)
     df = ds.to_pandas()
     return (
         df.sort_values(["url", "sent_ord", "pred", "obj", "obj_type"], kind="mergesort")
@@ -29,14 +29,14 @@ def small_corpus(ray_session, tmp_path_factory):
 
 
 def test_triples_invariant_to_batching(small_corpus):
-    base = _triples(small_corpus, 512, 2)
-    tiny_batches = _triples(small_corpus, 16, 2)
+    base = _triples(small_corpus, 512)
+    tiny_batches = _triples(small_corpus, 16)
     pd.testing.assert_frame_equal(base, tiny_batches)
 
 
-def test_triples_invariant_to_concurrency_and_blocks(small_corpus):
-    base = _triples(small_corpus, 512, 2)
-    other = _triples(small_corpus, 128, 3, blocks=7)
+def test_triples_invariant_to_blocks(small_corpus):
+    base = _triples(small_corpus, 512)
+    other = _triples(small_corpus, 128, blocks=7)
     pd.testing.assert_frame_equal(base, other)
 
 
@@ -71,7 +71,7 @@ def test_fused_finalize_invariant_to_buckets_and_matches_unfused(
         graph_tables,
     )
 
-    tri = triples_dataset(pages_dataset(small_corpus), ner_concurrency=2)
+    tri = triples_dataset(pages_dataset(small_corpus))
     want_nodes, want_edges = graph_tables(tri)
     want_n = want_nodes.to_pandas().sort_values("node_id").reset_index(drop=True)
     want_e = (

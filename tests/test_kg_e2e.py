@@ -36,7 +36,7 @@ def kg_run(ray_session, tmp_path_factory):
     corpus = str(root / "pages")
     out = str(root / "out")
     generate_pages(N_PAGES, corpus, num_files=3)
-    manifests = run_kg(corpus, out, ner_concurrency=2, n_shards=4)
+    manifests = run_kg(corpus, out, n_shards=4)
     return corpus, out, manifests
 
 
@@ -109,7 +109,7 @@ def test_resume_skips_completed_shards(kg_run):
 
     shard0 = os.path.join(out, "triples", "shard_0000", "_MANIFEST.json")
     before = os.path.getmtime(shard0)
-    second = run_kg(corpus, out, ner_concurrency=2, n_shards=4)
+    second = run_kg(corpus, out, n_shards=4)
     assert os.path.getmtime(shard0) == before  # shard skipped
     assert second["triples"]["rows"] == first["triples"]["rows"]
 
@@ -132,7 +132,7 @@ def test_partition_level_resume_recomputes_only_missing(kg_run):
     survivor_mtime = os.path.getmtime(
         os.path.join(tri_dir, survivor, "_MANIFEST.json")
     )
-    second = run_kg(corpus, out, ner_concurrency=2, n_shards=4)
+    second = run_kg(corpus, out, n_shards=4)
     assert os.path.exists(os.path.join(tri_dir, victim, "_MANIFEST.json"))
     assert os.path.getmtime(
         os.path.join(tri_dir, survivor, "_MANIFEST.json")
@@ -149,10 +149,10 @@ def test_corpus_regeneration_invalidates_checkpoints(ray_session, tmp_path_facto
     root = tmp_path_factory.mktemp("stale")
     corpus, out = str(root / "pages"), str(root / "out")
     generate_pages(40, corpus, num_files=1)
-    first = run_kg(corpus, out, ner_concurrency=2, n_shards=2)
+    first = run_kg(corpus, out, n_shards=2)
     # regenerate with different content (different page count) in place
     generate_pages(60, corpus, num_files=1, overwrite=True)
-    second = run_kg(corpus, out, ner_concurrency=2, n_shards=2)
+    second = run_kg(corpus, out, n_shards=2)
     assert second["triples"]["rows"] != first["triples"]["rows"]
     # and the outputs reflect the NEW corpus
     import pandas as pd
@@ -275,11 +275,9 @@ def test_merge_graph_runs_equals_single_run(ray_session, tmp_path):
         os.makedirs(d)
         pq.write_table(full.filter(pa.array(m)), str(d / "part-0.parquet"))
 
-    run_kg(corpus, str(tmp_path / "out_all"), ner_concurrency=2, n_shards=2)
-    run_kg(str(tmp_path / "pages_a"), str(tmp_path / "out_a"),
-           ner_concurrency=2, n_shards=2)
-    run_kg(str(tmp_path / "pages_b"), str(tmp_path / "out_b"),
-           ner_concurrency=2, n_shards=2)
+    run_kg(corpus, str(tmp_path / "out_all"), n_shards=2)
+    run_kg(str(tmp_path / "pages_a"), str(tmp_path / "out_a"), n_shards=2)
+    run_kg(str(tmp_path / "pages_b"), str(tmp_path / "out_b"), n_shards=2)
     merged = merge_graph_runs(
         [str(tmp_path / "out_a"), str(tmp_path / "out_b")],
         str(tmp_path / "out_merged"),

@@ -106,7 +106,7 @@ def main() -> int:
         )
 
     qs, oracles = entrymod.queries(), entrymod.oracle_sql()
-    failures = 0
+    failures = ok = rows_only = 0
     for name, fn in qs.items():
         if only and name not in only:
             continue
@@ -118,6 +118,7 @@ def main() -> int:
             continue
         if name not in oracles:
             print(f"[rows-only] {name}: {len(got)} rows, cols={list(got.columns)}")
+            rows_only += 1
             continue
         try:
             want = con.execute(oracles[name]).df()
@@ -133,6 +134,9 @@ def main() -> int:
                 print("   ", i)
         else:
             print(f"[ok] {name}: {len(got)} rows match oracle")
+            ok += 1
+    print(f"ok {ok}, rows-only {rows_only}, FAIL {failures} of "
+          f"{ok + rows_only + failures}")
     ray.shutdown()
     return 1 if failures else 0
 
