@@ -3,8 +3,9 @@
 The driver calls ``ray.init`` itself before importing this module; nothing
 here (or in the library) may call ``ray.init`` / ``ray.shutdown``.
 
-* ``entry()`` — flagship KG pipeline on the deterministic sf0.001 synthetic
-  page corpus (input_hint shape); returns the edge Dataset.
+* ``entry()`` — flagship KG pipeline (``run_kg``) on the deterministic
+  sf0.001 synthetic page corpus (input_hint shape); returns the edge
+  Dataset.
 * ``queries()`` — one callable per implemented operator/pipeline
   (SURVEY.md §2 + the large-scale training-data operators).
 * ``oracle_sql()`` — DuckDB equivalents for every SQL-expressible query
@@ -21,41 +22,24 @@ from typing import Any
 
 
 def entry() -> Any:
-    """Flagship pipeline on the sf0.001-scale synthetic page corpus."""
-    from medical_knowledge_graph_ray.pipelines.kg import (
-        corpus_for_sf,
-        pages_dataset,
-        triples_dataset,
-    )
-    from medical_knowledge_graph_ray.stages.canonicalize import (
-        finalize_edges,
-        partial_edges_batch,
-    )
-
-    corpus = corpus_for_sf("/root/testdata/sf0.001")
-    triples = triples_dataset(pages_dataset(corpus))
-    edges = finalize_edges(
-        triples.map_batches(partial_edges_batch, batch_format="pyarrow")
-    )
-    return edges
+    """Flagship pipeline on the sf0.001-scale synthetic page corpus (the
+    corpus size comes from the scale-factor name alone)."""
+    return _kg_edges_pages("sf0.001")
 
 
 def _kg_edges_pages(sf_dir: str):
-    from medical_knowledge_graph_ray.pipelines.kg import (
-        corpus_for_sf,
-        pages_dataset,
-        triples_dataset,
-    )
-    from medical_knowledge_graph_ray.stages.canonicalize import (
-        finalize_edges,
-        partial_edges_batch,
-    )
+    """The flagship's edge table: a fresh ``run_kg`` (``resume=False``, so
+    no call returns a cached graph) on the sf-scaled page corpus."""
+    import os
 
-    corpus = corpus_for_sf(sf_dir)
-    triples = triples_dataset(pages_dataset(corpus))
-    return finalize_edges(
-        triples.map_batches(partial_edges_batch, batch_format="pyarrow")
+    from medical_knowledge_graph_ray.pipelines.kg import corpus_for_sf, run_kg
+    from medical_knowledge_graph_ray.state.manifests import read_stage
+
+    out = os.path.join(
+        "/tmp/mkg_kg_edges", os.path.basename(os.path.normpath(sf_dir))
     )
+    run_kg(corpus_for_sf(sf_dir), out, resume=False)
+    return read_stage(os.path.join(out, "edges"))
 
 
 def _kg_triples_pages(sf_dir: str):

@@ -54,12 +54,9 @@ def run_docs_prep(
     pack_groups: int = 64,
 ) -> dict:
     """Run the full prep chain; returns {stage: manifest} like run_kg."""
-    import json
-    import os
-
     import ray
 
-    from ..state.manifests import MANIFEST, stage_complete
+    from ..state.manifests import read_manifest, stage_complete
     from .docs import (
         PACK_BUDGET, docs_curation_neardup, docs_decontaminate, pack_bucket,
     )
@@ -72,8 +69,7 @@ def run_docs_prep(
         resumed run skips a finished stage's ENTIRE computation (including
         driver-side pre-collects), not just its write."""
         if resume and stage_complete(stage_dir, fp):
-            with open(os.path.join(stage_dir, MANIFEST)) as f:
-                return json.load(f)
+            return read_manifest(stage_dir)
         return None
 
     # -- stage 1: kept (curation ⊖ contamination, + split) -------------------

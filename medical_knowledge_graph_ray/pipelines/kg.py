@@ -10,13 +10,13 @@ The Ray-Data-first re-expression of the reference's end-to-end flow
      → map_batches(MentionStage, tasks)                         # members + dict + voting built once per worker process
          (NER → clean → rules → dedup → triples)                # batch-local D2
      → checkpoint triples (Parquet + lineage manifest)
-     → nodes:  partial combine → groupby(node key) agg          # shuffle #1 (tiny: partials only)
-     → edges:  partial combine → groupby(s,p,o) agg → sort(subj)# shuffle #2 + range sort
+     → map_batches(partial_graph_batch)                         # node + edge partials, one pass
+     → ONE range-bucketed exchange → nodes + edges part files   # edges read sorted by subj_id
 
 Branching note: nodes and edges both derive from triples; the triple set is
 **checkpointed to Parquet** first so the expensive NER stage runs exactly
-once and both aggregations re-read the (much smaller) checkpoint — this is
-also the resume point (state/manifests.py).
+once and the graph finalize re-reads the (much smaller) checkpoint — this
+is also the resume point (state/manifests.py).
 """
 
 from __future__ import annotations
@@ -27,12 +27,6 @@ import pyarrow.compute as pc
 
 from ..functions.arrow import read_parquet_clean
 from ..sources.pages import generate_pages
-from ..stages.canonicalize import (
-    finalize_edges,
-    finalize_nodes,
-    partial_edges_batch,
-    partial_nodes_batch,
-)
 from ..stages.extract import extract_text_batch
 from ..stages.ner import ensemble_batch, memo_stage
 from ..stages.sentences import split_batch
@@ -41,7 +35,12 @@ from ..stages.triples import (
     dedup_mentions_batch,
     emit_triples_batch,
 )
-from ..state.manifests import read_stage, stage_complete, write_stage
+from ..state.manifests import (
+    read_manifest,
+    read_stage,
+    stage_complete,
+    write_manifest,
+)
 
 # corpus size per scale-factor dir name (deterministic synthetic corpus;
 # sf0.001 ≈ driver smoke, sf0.01 ≈ correctness, sf0.1 ≈ bench).  The bench
@@ -243,46 +242,6 @@ def source_info_dataset(corpus_dir: str):
     return sents.sort(["url", "sent_ord"])
 
 
-def write_source_info(corpus_dir: str, out_root: str, *, resume: bool = True) -> dict:
-    """STANDALONE source_info writer (own extract+split pass).
-
-    ``run_kg`` does NOT use this: it tees the sentence stream out of the
-    triples execution (``sentence_tee``), which costs no extra pipeline
-    pass; use this form to (re)build the lineage table without running
-    the full KG.  The materialized table is sorted WITHIN each file, not
-    globally: a global sort is a full-table range shuffle of the largest
-    intermediate (measured +17 s of the sf0.1 flagship for zero
-    analytical gain — any reader wanting global order range-merges the
-    sorted files, and `source_info_dataset` still offers the globally
-    sorted R1 form as a query)."""
-    import shutil
-
-    import pyarrow as pa
-
-    def _sort_block(t: pa.Table) -> pa.Table:
-        return t.sort_by([("url", "ascending"), ("sent_ord", "ascending")])
-
-    # the two writers use different layouts (flat part files here,
-    # shard_NNNN/ dirs in run_kg's tee) — remove the OTHER layout's
-    # remnants so a mixed directory can never double-count sentences
-    target = os.path.join(out_root, "source_info")
-    if os.path.isdir(target):
-        for name in os.listdir(target):
-            if name.startswith("shard_"):
-                shutil.rmtree(os.path.join(target, name), ignore_errors=True)
-
-    fp = f"corpus={_corpus_fingerprint(corpus_dir)}|source_info"
-    return write_stage(
-        sentences_dataset(corpus_dir).map_batches(
-            _sort_block, batch_format="pyarrow"
-        ),
-        os.path.join(out_root, "source_info"),
-        "source_info",
-        fp,
-        force=not resume,
-    )
-
-
 def ner_eval_pages(sf_dir: str, *, heldout_only: bool = True):
     """MUC evaluation over the sf-scaled page corpus (driver query)."""
     return ner_eval_corpus(corpus_for_sf(sf_dir), heldout_only=heldout_only)
@@ -410,7 +369,6 @@ def merge_graph_runs(
     Returns {"nodes": manifest, "edges": manifest} under ``merged_out``.
     """
     import hashlib
-    import json
 
     # merged fingerprint = digest of every input shard manifest's
     # fingerprint (any input change invalidates the merge)
@@ -418,36 +376,36 @@ def merge_graph_runs(
     for root in sorted(out_roots):
         tri_dir = os.path.join(root, "triples")
         for name in sorted(os.listdir(tri_dir)):
-            mpath = os.path.join(tri_dir, name, "_MANIFEST.json")
-            if name.startswith("shard_") and os.path.exists(mpath):
-                with open(mpath) as f:
-                    m = json.load(f)
+            sdir = os.path.join(tri_dir, name)
+            if name.startswith("shard_") and stage_complete(sdir):
+                m = read_manifest(sdir)
                 parts.append(f"{m['fingerprint']}|rows={m['rows']}")
     fp = "merge|" + hashlib.md5("\n".join(parts).encode()).hexdigest()[:16]
 
+    def triples():
+        tri = None
+        for root in out_roots:
+            ds = read_stage(os.path.join(root, "triples"))
+            tri = ds if tri is None else tri.union(ds)
+        return tri
+
+    return _graph_stages(triples, merged_out, fp, resume=resume)
+
+
+def _graph_stages(triples, out_root: str, fp: str, *, resume: bool) -> dict:
+    """{"nodes", "edges"} manifests under ``out_root``: loaded when both
+    checkpoints are complete for ``fp`` (``resume``), else written by
+    ``finalize_graph_write`` over ``triples()`` — a callable, so a no-op
+    resume never opens the triples checkpoint."""
     from ..stages.canonicalize import finalize_graph_write
 
-    nodes_dir = os.path.join(merged_out, "nodes")
-    edges_dir = os.path.join(merged_out, "edges")
-    manifests: dict[str, dict] = {}
-    if (
-        resume
-        and stage_complete(nodes_dir, fp)
-        and stage_complete(edges_dir, fp)
-    ):
-        for stage_name, d in (("nodes", nodes_dir), ("edges", edges_dir)):
-            with open(os.path.join(d, "_MANIFEST.json")) as f:
-                manifests[stage_name] = json.load(f)
-        return manifests
-
-    tri = None
-    for root in out_roots:
-        ds = read_stage(os.path.join(root, "triples"))
-        tri = ds if tri is None else tri.union(ds)
-    m_nodes, m_edges = finalize_graph_write(tri, nodes_dir, edges_dir, fp)
-    manifests["nodes"] = m_nodes
-    manifests["edges"] = m_edges
-    return manifests
+    dirs = {name: os.path.join(out_root, name) for name in ("nodes", "edges")}
+    if resume and all(stage_complete(d, fp) for d in dirs.values()):
+        return {name: read_manifest(d) for name, d in dirs.items()}
+    m_nodes, m_edges = finalize_graph_write(
+        triples(), dirs["nodes"], dirs["edges"], fp
+    )
+    return {"nodes": m_nodes, "edges": m_edges}
 
 
 def run_kg(
@@ -482,7 +440,6 @@ def run_kg(
     assembles manifests from the same paths.  True of any distributed
     file sink; single-node /tmp is only valid in this sandbox.
     """
-    import json
     import shutil
 
     from ..functions.hashing import stable_bucket_vec
@@ -645,7 +602,6 @@ def run_kg(
             split_pages(pages).map_batches(
                 sentence_tee, batch_format="pyarrow"
             ).count()
-        import pyarrow.parquet as pq
 
         def _assemble(tmp_root, dst_fn, fp_fn, stage_name, inc):
             for i in inc:
@@ -656,30 +612,11 @@ def run_kg(
                     os.replace(src, dst)
                 else:
                     os.makedirs(dst, exist_ok=True)  # empty shard
-                partitions, total = [], 0
-                for name in sorted(os.listdir(dst)):
-                    if not name.endswith(".parquet"):
-                        continue
-                    meta = pq.read_metadata(os.path.join(dst, name))
-                    partitions.append(
-                        {"file": name, "rows": meta.num_rows,
-                         "bytes": os.path.getsize(os.path.join(dst, name)),
-                         "row_groups": meta.num_row_groups}
-                    )
-                    total += meta.num_rows
-                with open(os.path.join(dst, "_MANIFEST.json"), "w") as f:
-                    json.dump(
-                        {
-                            "stage": f"{stage_name}/shard_{i:04d}",
-                            "fingerprint": fp_fn(i),
-                            "rows": total,
-                            "num_partitions": len(partitions),
-                            "partitions": partitions,
-                            "input": {"corpus": os.path.abspath(corpus_dir),
-                                      "url_hash_bucket": i, "n_shards": n_shards},
-                        },
-                        f, indent=1,
-                    )
+                write_manifest(
+                    dst, f"{stage_name}/shard_{i:04d}", fp_fn(i),
+                    input={"corpus": os.path.abspath(corpus_dir),
+                           "url_hash_bucket": i, "n_shards": n_shards},
+                )
 
         _assemble(tmp, _sdir, _fp, "triples", tri_inc)
         _assemble(si_tmp, _si_sdir, _fp_si, "source_info", si_inc)
@@ -699,18 +636,9 @@ def run_kg(
                     continue
                 if idx >= n_shards:
                     shutil.rmtree(os.path.join(stage_dir, name), ignore_errors=True)
-    # a prior STANDALONE write_source_info left flat part files /
-    # manifest next to the shard dirs — remove them (mixed layouts would
-    # double-count every sentence on read)
-    for name in sorted(os.listdir(si_dir)):
-        if name.endswith(".parquet") or name == "_MANIFEST.json":
-            os.remove(os.path.join(si_dir, name))
 
     for stage_name, sdir_fn in (("triples", _sdir), ("source_info", _si_sdir)):
-        shard_manifests = []
-        for i in range(n_shards):
-            with open(os.path.join(sdir_fn(i), "_MANIFEST.json")) as f:
-                shard_manifests.append(json.load(f))
+        shard_manifests = [read_manifest(sdir_fn(i)) for i in range(n_shards)]
         manifests[stage_name] = {
             "stage": stage_name,
             "rows": sum(m["rows"] for m in shard_manifests),
@@ -720,31 +648,10 @@ def run_kg(
 
     # nodes and edges derive from ONE scan of the triples checkpoint AND
     # finalize in ONE streaming execution
-    # (stages/canonicalize.py:finalize_graph_write): both partial kinds
-    # combine in a single bucketed pass, nodes write task-side inside
-    # it, and edges flow on into the subj sort + checkpointed write —
-    # the previous three back-to-back executions were ~7 s of pure
-    # fixed cost at sf0.1, <0.5 s of it the checkpoint scan.
-    from ..stages.canonicalize import finalize_graph_write
-
-    nodes_dir = os.path.join(out_root, "nodes")
-    edges_dir = os.path.join(out_root, "edges")
-    if (
-        resume
-        and stage_complete(nodes_dir, fp_base)
-        and stage_complete(edges_dir, fp_base)
-    ):
-        # no-op resume: the fused finalize would otherwise scan the full
-        # triples checkpoint before noticing nothing is missing
-        for stage_name, d in (("nodes", nodes_dir), ("edges", edges_dir)):
-            with open(os.path.join(d, "_MANIFEST.json")) as f:
-                manifests[stage_name] = json.load(f)
-    else:
-        m_nodes, m_edges = finalize_graph_write(
-            read_stage(tri_dir), nodes_dir, edges_dir, fp_base
-        )
-        manifests["nodes"] = m_nodes
-        manifests["edges"] = m_edges
+    # (stages/canonicalize.py:finalize_graph_write)
+    manifests.update(
+        _graph_stages(lambda: read_stage(tri_dir), out_root, fp_base, resume=resume)
+    )
     return manifests
 
 

@@ -119,15 +119,16 @@ def oracle_nodes(triples: pd.DataFrame) -> pd.DataFrame:
         ],
         ignore_index=True,
     )
+    # keyed on the node id, as oracle_edges: pandas object hashing would
+    # merge names that differ only after a NUL
+    ends["node_id"] = [node_id(s, t) for s, t in zip(ends["surface"], ends["type"])]
     ends["canonical_name"] = ends["surface"].map(normalize_surface)
     out = (
-        ends.groupby(["canonical_name", "type"], sort=False)
-        .agg(n_mentions=("surface", "size"), prob_max=("prob", "max"))
+        ends.groupby("node_id", sort=False)
+        .agg(canonical_name=("canonical_name", "first"), type=("type", "first"),
+             n_mentions=("surface", "size"), prob_max=("prob", "max"))
         .reset_index()
     )
-    out["node_id"] = [
-        node_id(n, t) for n, t in zip(out["canonical_name"], out["type"])
-    ]
     from ..stages.canonicalize import ontology_ids
 
     out["ontology_id"] = ontology_ids(out["type"])

@@ -7,16 +7,17 @@ enumeration (``head_id='h{:08d}'`` per group index,
 parallelism.  Here every id is a deterministic content hash of the
 normalized ``(surface, type)`` key (SURVEY §4 Ordering).
 
-**Skew design (north_rule):** hot entities (common drugs/diseases recur
-across a large share of pages) would hot-spot a naive
-``groupby(key).map_groups``.  Both aggregations therefore run **two-phase**:
+**One path, two phases (north_rule skew design):** hot entities (common
+drugs/diseases recur across a large share of pages) would hot-spot a
+naive ``groupby(key).map_groups``, so ``finalize_graph_write`` runs
 
-1. *partial* — inside ``map_batches``, combine per batch to ≤ 1 row per key
-   per batch (the classic combiner; a key appearing in 1e6 rows leaves each
-   batch as a single partial row, so the shuffle moves O(#batches) not
-   O(#rows) for hot keys);
-2. *final* — a small ``groupby`` over the partials with associative
-   aggregates (Sum / Max).
+1. *partial* — ``partial_graph_batch`` inside ``map_batches`` combines
+   each batch to ≤ 1 node row per (name, type) key and ≤ 1 edge row per
+   (subj, pred, obj) key (the classic combiner; a key appearing in 1e6
+   rows leaves each batch as a single partial row, so the shuffle moves
+   O(#batches) not O(#rows) for hot keys);
+2. *final* — ONE range-bucketed exchange over both partial kinds with
+   associative aggregates (Sum / Max), written task-side per bucket.
 
 This removes the need for explicit key salting for count/max aggregates
 while remaining deterministic; the partial rows are the "salted" shards.
@@ -26,10 +27,12 @@ from __future__ import annotations
 
 import re
 
+import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 
-from ..functions.hashing import stable_id
+from ..functions.hashing import md5_int_vec, stable_id
 
 _BRACKET_RE = re.compile(r"[\(\[（【].*?[\)\]）】]")
 
@@ -73,88 +76,6 @@ def node_id(surface: str, etype: str) -> str:
     return stable_id(normalize_surface(surface), etype, prefix="n")
 
 
-def _normalize_series(s: pd.Series) -> pd.Series:
-    return (
-        s.str.replace(_BRACKET_RE, "", regex=True).str.strip().str.casefold()
-    )
-
-
-# per-worker id memo: canonical keys are low-cardinality (gazetteer +
-# rule-merged variants), so md5 runs once per distinct key per worker
-# instead of once per row (2 md5 calls × millions of rows otherwise)
-_ID_CACHE: dict[tuple[str, str], str] = {}
-
-
-def _ids_for(norm: pd.Series, etype: pd.Series) -> pd.Series:
-    cache = _ID_CACHE
-    if len(cache) > 2_000_000:
-        cache.clear()
-    out = []
-    for key in zip(norm, etype):
-        nid = cache.get(key)
-        if nid is None:
-            nid = stable_id(key[0], key[1], prefix="n")
-            cache[key] = nid
-        out.append(nid)
-    return pd.Series(out, index=norm.index, dtype="object")
-
-
-def partial_nodes_batch(batch: pa.Table) -> pa.Table:
-    """Triple batch → partial node rows (both endpoints), combined per key."""
-    part = _partial_nodes_df(batch.to_pandas())
-    return pa.Table.from_pandas(part, schema=NODE_SCHEMA, preserve_index=False).replace_schema_metadata(None)
-
-
-def _partial_nodes_df(df: pd.DataFrame) -> pd.DataFrame:
-    ends = pd.concat(
-        [
-            df[["subj", "subj_type", "prob"]].rename(
-                columns={"subj": "surface", "subj_type": "type"}
-            ),
-            df[["obj", "obj_type", "prob"]].rename(
-                columns={"obj": "surface", "obj_type": "type"}
-            ),
-        ],
-        ignore_index=True,
-    )
-    ends["canonical_name"] = _normalize_series(ends["surface"].astype(str))
-    part = (
-        ends.groupby(["canonical_name", "type"], sort=False)
-        .agg(n_mentions=("surface", "size"), prob_max=("prob", "max"))
-        .reset_index()
-    )
-    part["node_id"] = _ids_for(part["canonical_name"], part["type"])
-    return part[["node_id", "canonical_name", "type", "n_mentions", "prob_max"]]
-
-
-def partial_edges_batch(batch: pa.Table) -> pa.Table:
-    """Triple batch → partial edge rows, combined per (subj, pred, obj)."""
-    part = _partial_edges_df(batch.to_pandas())
-    return pa.Table.from_pandas(part, schema=EDGE_SCHEMA, preserve_index=False).replace_schema_metadata(None)
-
-
-def _partial_edges_df(df: pd.DataFrame) -> pd.DataFrame:
-    df = df.assign(
-        _sn=_normalize_series(df["subj"].astype(str)),
-        _on=_normalize_series(df["obj"].astype(str)),
-    )
-    df["subj_id"] = _ids_for(df["_sn"], df["subj_type"])
-    df["obj_id"] = _ids_for(df["_on"], df["obj_type"])
-    return (
-        df.groupby(["subj_id", "pred", "obj_id"], sort=False)
-        .agg(weight=("prob", "max"), n_evidence=("prob", "size"))
-        .reset_index()
-    )
-
-
-# -- fused single-scan graph materialization ----------------------------------
-#
-# nodes and edges both derive from the triples checkpoint; scanning it
-# twice doubles checkpoint I/O (the dominant cost once the checkpoint is
-# large).  The fused path emits BOTH partial kinds from ONE scan into a
-# superset schema, materializes the (much smaller, spillable) partials,
-# and runs each finalize over the in-memory partials.
-
 GRAPH_PARTIAL_SCHEMA = pa.schema(
     [
         ("kind", pa.string()),           # 'n' | 'e'
@@ -168,81 +89,87 @@ GRAPH_PARTIAL_SCHEMA = pa.schema(
 )
 
 
+def _groups(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(first row of each distinct code, dense group 0..G-1 per row)."""
+    _, first, group = np.unique(codes, return_index=True, return_inverse=True)
+    return first, group
+
+
+def _count_max(group: np.ndarray, n_groups: int, prob: np.ndarray):
+    """(row count, max prob) per dense group (NaN-skipping, as pandas
+    ``max``)."""
+    counts = np.bincount(group, minlength=n_groups).astype("int64")
+    if not n_groups:
+        return counts, np.empty(0, "float64")
+    starts = np.concatenate([[0], np.cumsum(counts)[:-1]])
+    return counts, np.fmax.reduceat(prob[np.argsort(group, kind="stable")], starts)
+
+
 def partial_graph_batch(batch: pa.Table) -> pa.Table:
-    """Triple batch → node AND edge partials in one pass (superset rows;
-    ONE arrow→pandas conversion shared by both partial kinds)."""
-    df = batch.to_pandas()
-    nodes = _partial_nodes_df(df)
-    edges = _partial_edges_df(df)
-    both = pd.concat(
+    """Triple batch → node AND edge partials (superset rows, ≤ 1 per key).
+
+    Every key is built once per batch from integer codes: the subj+obj
+    surfaces are dictionary-encoded, ``normalize_surface`` runs over the
+    distinct surfaces only, each distinct (name, type) key is md5-hashed
+    once (``md5_int_vec`` of ``name + "\x1f" + type``, i.e. ``node_id``),
+    and node and edge partials combine on those codes in numpy.  No pandas
+    object hashing touches a surface: it truncates strings at NUL."""
+    n = batch.num_rows
+
+    def encode(*cols: str) -> pa.DictionaryArray:
+        chunks = [c for col in cols for c in batch.column(col).chunks]
+        return pc.dictionary_encode(
+            pa.chunked_array(chunks, pa.string()).combine_chunks()
+        )
+
+    # endpoint rows: subj of every triple, then obj of every triple
+    surf = encode("subj", "obj")
+    etype = encode("subj_type", "obj_type")
+    names = pc.dictionary_encode(
+        pa.array(
+            [normalize_surface(s) for s in surf.dictionary.to_pylist()],
+            pa.string(),
+        )
+    )
+    name_code = np.asarray(names.indices, "int64")[np.asarray(surf.indices)]
+    type_code = np.asarray(etype.indices, "int64")
+    first, key = _groups(name_code * len(etype.dictionary) + type_code)
+    key_name = names.dictionary.take(name_code[first])
+    key_type = etype.dictionary.take(type_code[first])
+    digest = md5_int_vec(
+        pc.binary_join_element_wise(key_name, key_type, "\x1f"), bits=64
+    )
+    ids = pa.array([f"n{h:016x}" for h in digest.tolist()], pa.string())
+    prob = batch.column("prob").to_numpy()
+    node_n, node_p = _count_max(key, len(first), np.concatenate([prob, prob]))
+
+    # edges on (subj key, pred, obj key), composed pairwise so every
+    # composite code stays below rows × distinct keys
+    pred = encode("pred")
+    pred_code = np.asarray(pred.indices, "int64")
+    _, sp = _groups(key[:n] * len(pred.dictionary) + pred_code)
+    edge_row, edge = _groups(sp * len(first) + key[n:])
+    edge_n, edge_p = _count_max(edge, len(edge_row), prob)
+
+    k, e = len(first), len(edge_row)
+    return pa.Table.from_arrays(
         [
-            pd.DataFrame(
-                {"kind": "n", "a": nodes["node_id"], "b": nodes["type"],
-                 "c": "", "name": nodes["canonical_name"],
-                 "n": nodes["n_mentions"], "p": nodes["prob_max"]}
-            ),
-            pd.DataFrame(
-                {"kind": "e", "a": edges["subj_id"], "b": edges["pred"],
-                 "c": edges["obj_id"], "name": "",
-                 "n": edges["n_evidence"], "p": edges["weight"]}
-            ),
+            pa.concat_arrays([pa.repeat("n", k), pa.repeat("e", e)]),
+            pa.concat_arrays([ids, ids.take(key[edge_row])]),
+            pa.concat_arrays([key_type, pred.dictionary.take(pred_code[edge_row])]),
+            pa.concat_arrays([pa.repeat("", k), ids.take(key[n + edge_row])]),
+            pa.concat_arrays([key_name, pa.repeat("", e)]),
+            pa.array(np.concatenate([node_n, edge_n]), pa.int64()),
+            pa.array(np.concatenate([node_p, edge_p]), pa.float64()),
         ],
-        ignore_index=True,
+        schema=GRAPH_PARTIAL_SCHEMA,
     )
-    return pa.Table.from_pandas(both, schema=GRAPH_PARTIAL_SCHEMA, preserve_index=False).replace_schema_metadata(None)
-
-
-def _kind_slice(partials, kind: str, rename: dict[str, str], drop: list[str]):
-    def fn(t: pa.Table) -> pa.Table:
-        t = t.filter(pa.compute.equal(t.column("kind"), kind))
-        t = t.drop_columns(["kind"] + drop)
-        return t.rename_columns([rename.get(c, c) for c in t.column_names])
-
-    return partials.map_batches(fn, batch_format="pyarrow")
-
-
-def graph_tables(triples):
-    """triples Dataset → (nodes Dataset, edges Dataset) off ONE input scan.
-
-    The superset partials are materialized (object-store resident,
-    spillable; they are the post-combiner rows — orders of magnitude
-    smaller than the triples) so the two finalize branches don't
-    re-execute the scan."""
-    parts = triples.map_batches(
-        partial_graph_batch, batch_format="pyarrow", batch_size=65536
-    ).materialize()
-    return graph_tables_from_partials(parts)
-
-
-def graph_tables_from_partials(parts):
-    """(superset partials Dataset) → (nodes, edges): the finalize half of
-    ``graph_tables`` for callers holding pre-combined partials — either
-    just materialized (``graph_tables``) or teed out of the triples
-    execution and checkpointed (``run_kg``'s graph_partials fast path,
-    which skips re-scanning the full triples checkpoint).  Partials are
-    associative (Sum/Max per key), so ANY batch partitioning of the same
-    triples multiset finalizes to identical tables."""
-    node_parts = _kind_slice(
-        parts, "n",
-        {"a": "node_id", "b": "type", "name": "canonical_name",
-         "n": "n_mentions", "p": "prob_max"},
-        drop=["c"],
-    )
-    edge_parts = _kind_slice(
-        parts, "e",
-        {"a": "subj_id", "b": "pred", "c": "obj_id",
-         "n": "n_evidence", "p": "weight"},
-        drop=["name"],
-    )
-    return finalize_nodes(node_parts), finalize_edges(edge_parts)
 
 
 def _hex2_code(s: pd.Series) -> "np.ndarray":
     """Vectorized value of hex chars [1:3) of each id (ids are
     '<prefix-char>' + 16 lowercase hex — md5-uniform, so the code is
     uniform over [0, 256))."""
-    import numpy as np
-
     raw = np.asarray(s.to_numpy(), dtype="U3").view("uint32").reshape(-1, 3)
     c = raw[:, 1:3].astype("uint32")
     digit = c - 48 - (c >= 97) * 39  # '0'-'9' → 0-9, 'a'-'f' → 10-15
@@ -258,22 +185,19 @@ def finalize_graph_write(
     num_buckets: int = 32,
 ) -> tuple[dict, dict]:
     """nodes + edges finalize AND checkpointed write in ONE streaming
-    execution with ONE shuffle.
+    execution with ONE shuffle — the only graph finalize (``run_kg``,
+    ``merge_graph_runs`` and the ``kg_edges_pages`` query all use it).
 
-    The unfused path (two per-kind bucketed combines + a global edge
-    sort + two checkpoint writes) ran three back-to-back executions and
-    three AllToAll exchanges — measured ~7 s of finalize wall at sf0.1
-    of which <2 s was the triples scan and ~1.4 s the combiner compute:
-    the rest was exchange/startup fixed cost.  Fused design:
-
+    * ``partial_graph_batch`` combines each triple batch to ≤ 1 partial
+      row per node key and per edge key.
     * ONE bucketed exchange serves both tables: partials are
       RANGE-bucketed on the md5-uniform id prefix (``_hex2_code`` of
       column ``a`` — node_id for node partials, subj_id for edge
       partials), so bucket order IS global id order.
-    * Each bucket task combines both kinds (n=Sum, p=Max per key —
-      identical aggregates to ``finalize_nodes``/``finalize_edges``),
-      sorts within the bucket, and writes one nodes file and one edges
-      file task-side (``part-<bucket>.parquet``; rewrite-idempotent).
+    * Each bucket task combines both kinds (n=Sum, p=Max per
+      (kind, a, b, c); a node's name comes with its id), sorts within
+      the bucket, and writes one nodes file and one edges file
+      task-side (``part-<bucket>.parquet``; rewrite-idempotent).
       Range-ordered filenames + within-file sort ⇒ the edges table
       reads globally sorted by subj_id (north_rule) with NO sort
       operator; ties additionally ordered by (pred, obj_id), making
@@ -281,22 +205,21 @@ def finalize_graph_write(
     * The execution is driven by counting the tiny per-bucket lineage
       frames; manifests for both stages are assembled driver-side.
 
-    Output tables are value-identical to the unfused ``graph_tables``
-    path (associativity; pinned by the e2e golden tests).  Both stages
-    are force-written: entering the finalize at all means at least one
-    is missing, and deterministic content makes a rewrite
-    value-identical.  Skew note: a hot entity is ONE key in one bucket,
-    but its partials are pre-combined to ≤1 row per upstream batch, so
-    no bucket can be overloaded by entity popularity."""
-    import json
+    Partials are associative, so any batching and any bucket count
+    finalize to the same tables (pinned against the single-process
+    oracle by ``test_invariance``).  Both stages are force-written:
+    entering the finalize at all means at least one is missing, and
+    deterministic content makes a rewrite value-identical.  Skew note: a
+    hot entity is ONE key in one bucket, but its partials are
+    pre-combined to ≤1 row per upstream batch, so no bucket can be
+    overloaded by entity popularity."""
     import os
     import shutil
 
-    import numpy as np
     import pyarrow.parquet as pq
 
     from ..functions.arrow import arrow_out
-    from ..state.manifests import MANIFEST
+    from ..state.manifests import write_manifest
 
     tmp = {
         "nodes": nodes_dir.rstrip("/") + ".fused.tmp",
@@ -327,9 +250,11 @@ def finalize_graph_write(
                  "rows": pd.array([], "int64")}
             )
         bucket = int(g["_bucket"].iloc[0])
+        # name is a function of the node id: taken, never grouped on
+        # (pandas object hashing truncates strings at NUL)
         m = (
-            g.groupby(["kind", "a", "b", "c", "name"], sort=False)
-            .agg(n=("n", "sum"), p=("p", "max"))
+            g.groupby(["kind", "a", "b", "c"], sort=False)
+            .agg(n=("n", "sum"), p=("p", "max"), name=("name", "first"))
             .reset_index()
         )
         out = []
@@ -385,61 +310,5 @@ def finalize_graph_write(
     for stage_name, final_dir in (("nodes", nodes_dir), ("edges", edges_dir)):
         shutil.rmtree(final_dir, ignore_errors=True)
         os.replace(tmp[stage_name], final_dir)
-        partitions, total = [], 0
-        for name in sorted(os.listdir(final_dir)):
-            if not name.endswith(".parquet"):
-                continue
-            meta = pq.read_metadata(os.path.join(final_dir, name))
-            partitions.append(
-                {"file": name, "rows": meta.num_rows,
-                 "bytes": os.path.getsize(os.path.join(final_dir, name)),
-                 "row_groups": meta.num_row_groups}
-            )
-            total += meta.num_rows
-        manifest = {
-            "stage": stage_name,
-            "fingerprint": fingerprint,
-            "rows": total,
-            "num_partitions": len(partitions),
-            "partitions": partitions,
-        }
-        with open(os.path.join(final_dir, MANIFEST), "w") as f:
-            json.dump(manifest, f, indent=1)
-        results[stage_name] = manifest
+        results[stage_name] = write_manifest(final_dir, stage_name, fingerprint)
     return results["nodes"], results["edges"]
-
-
-def finalize_nodes(partials):
-    """partial-node Dataset → final node Dataset.
-
-    Coarse-bucket shuffle + one vectorized pandas groupby per bucket
-    (stages/shuffle.py) — hot entities arrive pre-combined (≤ 1 row per
-    key per upstream batch), so no key can dominate a bucket."""
-    from .shuffle import bucketed_group_map
-
-    def combine(g: pd.DataFrame) -> pd.DataFrame:
-        out = (
-            g.groupby(["node_id", "canonical_name", "type"], sort=False)
-            .agg(n_mentions=("n_mentions", "sum"), prob_max=("prob_max", "max"))
-            .reset_index()
-        )
-        out.insert(3, "ontology_id", ontology_ids(out["type"]))
-        return out
-
-    return bucketed_group_map(partials, ["node_id"], combine, num_buckets=32)
-
-
-def finalize_edges(partials):
-    """partial-edge Dataset → final edge Dataset, sorted by subject
-    (north_rule: edge table sorted by subj)."""
-    from .shuffle import bucketed_group_map
-
-    def combine(g: pd.DataFrame) -> pd.DataFrame:
-        return (
-            g.groupby(["subj_id", "pred", "obj_id"], sort=False)
-            .agg(weight=("weight", "max"), n_evidence=("n_evidence", "sum"))
-            .reset_index()
-        )
-
-    agg = bucketed_group_map(partials, ["subj_id", "pred", "obj_id"], combine, num_buckets=32)
-    return agg.sort("subj_id")

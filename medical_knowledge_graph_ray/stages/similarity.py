@@ -627,16 +627,12 @@ def build_pq_index(
     pushed-down keyed read."""
     import ray
 
-    from ..state.manifests import stage_complete, write_stage
+    from ..state.manifests import read_manifest, stage_complete, write_stage
 
     fp = f"pq_index|m={PQ_M}|k={PQ_K}|train={train_limit}"
     book_path = f"{out_dir}/codebooks.npy"
     if resume and stage_complete(f"{out_dir}/codes", fp):
-        import json
-        import os
-
-        with open(os.path.join(out_dir, "codes", "_MANIFEST.json")) as f:
-            return json.load(f)
+        return read_manifest(f"{out_dir}/codes")
 
     n_total = embeddings.count()
     stride = max(1, n_total // train_limit)

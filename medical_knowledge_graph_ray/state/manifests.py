@@ -37,6 +37,45 @@ def stage_complete(out_dir: str, fingerprint: str | None = None) -> bool:
         return False
 
 
+def read_manifest(out_dir: str) -> dict:
+    """The ``_MANIFEST.json`` of a stage directory."""
+    with open(os.path.join(out_dir, MANIFEST)) as f:
+        return json.load(f)
+
+
+def write_manifest(out_dir: str, stage: str, fingerprint: str, **extra) -> dict:
+    """Write ``out_dir``'s lineage manifest from its part files' Parquet
+    footers (rows, bytes, row groups per file — no data pass); ``extra``
+    keys follow the standard ones.  Returns the manifest dict."""
+    import pyarrow.parquet as pq
+
+    partitions = []
+    for name in sorted(os.listdir(out_dir)):
+        if not name.endswith(".parquet"):
+            continue
+        fpath = os.path.join(out_dir, name)
+        meta = pq.read_metadata(fpath)
+        partitions.append(
+            {
+                "file": name,
+                "rows": meta.num_rows,
+                "bytes": os.path.getsize(fpath),
+                "row_groups": meta.num_row_groups,
+            }
+        )
+    manifest = {
+        "stage": stage,
+        "fingerprint": fingerprint,
+        "rows": sum(p["rows"] for p in partitions),
+        "num_partitions": len(partitions),
+        "partitions": partitions,
+        **extra,
+    }
+    with open(os.path.join(out_dir, MANIFEST), "w") as f:
+        json.dump(manifest, f, indent=1)
+    return manifest
+
+
 def write_stage(
     ds, out_dir: str, stage: str, fingerprint: str = "", *, force: bool = False
 ) -> dict:
@@ -45,11 +84,8 @@ def write_stage(
     Returns the manifest dict.  Idempotent: a complete checkpoint with the
     same fingerprint is left untouched unless ``force`` is set.
     """
-    import pyarrow.parquet as pq
-
     if not force and stage_complete(out_dir, fingerprint or None):
-        with open(os.path.join(out_dir, MANIFEST)) as f:
-            return json.load(f)
+        return read_manifest(out_dir)
 
     tmp = out_dir.rstrip("/") + ".tmp"
     shutil.rmtree(tmp, ignore_errors=True)
@@ -70,32 +106,7 @@ def write_stage(
                 raise
             _time.sleep(0.2 * (attempt + 1))
 
-    partitions = []
-    total_rows = 0
-    for name in sorted(os.listdir(tmp)):
-        if not name.endswith(".parquet"):
-            continue
-        fpath = os.path.join(tmp, name)
-        meta = pq.read_metadata(fpath)
-        partitions.append(
-            {
-                "file": name,
-                "rows": meta.num_rows,
-                "bytes": os.path.getsize(fpath),
-                "row_groups": meta.num_row_groups,
-            }
-        )
-        total_rows += meta.num_rows
-
-    manifest = {
-        "stage": stage,
-        "fingerprint": fingerprint,
-        "rows": total_rows,
-        "num_partitions": len(partitions),
-        "partitions": partitions,
-    }
-    with open(os.path.join(tmp, MANIFEST), "w") as f:
-        json.dump(manifest, f, indent=1)
+    manifest = write_manifest(tmp, stage, fingerprint)
     shutil.rmtree(out_dir, ignore_errors=True)
     os.replace(tmp, out_dir)
     return manifest
@@ -167,8 +178,7 @@ def audit_stage(out_dir: str) -> dict:
                 )
 
     for mdir in manifest_dirs:
-        with open(os.path.join(mdir, MANIFEST)) as f:
-            m = json.load(f)
+        m = read_manifest(mdir)
         manifests_checked += 1
         listed = set()
         part_sum = 0

@@ -56,26 +56,25 @@ def test_ner_eval_invariant_to_batching(small_corpus):
     pd.testing.assert_frame_equal(run(2048), run(64, blocks=5))
 
 
-def test_fused_finalize_invariant_to_buckets_and_matches_unfused(
+def test_fused_finalize_invariant_to_buckets_and_matches_oracle(
     small_corpus, tmp_path_factory
 ):
     """finalize_graph_write must emit VALUE-identical nodes/edges tables
-    at any bucket count, equal to the unfused graph_tables path — and the
-    edges table must read globally sorted by subj_id straight off the
-    range-ordered part files (north_rule, no sort operator)."""
+    at any bucket count, equal to the single-process oracle over the same
+    triples — and the edges table must read globally sorted by subj_id
+    straight off the range-ordered part files (north_rule, no sort
+    operator)."""
     import os
 
     from medical_knowledge_graph_ray.pipelines.kg import pages_dataset, triples_dataset
-    from medical_knowledge_graph_ray.stages.canonicalize import (
-        finalize_graph_write,
-        graph_tables,
-    )
+    from medical_knowledge_graph_ray.pipelines.oracle import oracle_edges, oracle_nodes
+    from medical_knowledge_graph_ray.stages.canonicalize import finalize_graph_write
 
-    tri = triples_dataset(pages_dataset(small_corpus))
-    want_nodes, want_edges = graph_tables(tri)
-    want_n = want_nodes.to_pandas().sort_values("node_id").reset_index(drop=True)
+    tri = triples_dataset(pages_dataset(small_corpus)).materialize()
+    tri_df = tri.to_pandas()
+    want_n = oracle_nodes(tri_df).sort_values("node_id").reset_index(drop=True)
     want_e = (
-        want_edges.to_pandas()
+        oracle_edges(tri_df)
         .sort_values(["subj_id", "pred", "obj_id"])
         .reset_index(drop=True)
     )
@@ -93,6 +92,40 @@ def test_fused_finalize_invariant_to_buckets_and_matches_unfused(
             got_n.sort_values("node_id").reset_index(drop=True), want_n
         )
         pd.testing.assert_frame_equal(got_e, want_e)
+
+
+def test_finalize_keeps_names_that_differ_after_nul(ray_session, tmp_path):
+    """Two nodes whose names share a prefix up to a NUL, in ONE bucket:
+    each must keep its own name and its own id (pandas object hashing
+    merges such strings)."""
+    import os
+
+    import pyarrow as pa
+    import ray.data as rd
+
+    from medical_knowledge_graph_ray.stages.canonicalize import (
+        finalize_graph_write,
+        node_id,
+    )
+    from medical_knowledge_graph_ray.stages.triples import TRIPLE_SCHEMA
+
+    subj = ["a\x00b", "a\x00c"]
+    tri = pa.table(
+        {"subj": subj, "subj_type": ["DIS"] * 2, "pred": ["rel"] * 2,
+         "obj": ["x"] * 2, "obj_type": ["DRU"] * 2, "prob": [0.5, 0.7],
+         "url": ["u"] * 2, "sent_ord": [0, 1]},
+        schema=TRIPLE_SCHEMA,
+    )
+    nd, ed = os.path.join(tmp_path, "nodes"), os.path.join(tmp_path, "edges")
+    finalize_graph_write(rd.from_arrow(tri), nd, ed, "nul", num_buckets=1)
+    nodes = pd.read_parquet(nd)
+    assert dict(zip(nodes["node_id"], nodes["canonical_name"])) == {
+        node_id("a\x00b", "DIS"): "a\x00b",
+        node_id("a\x00c", "DIS"): "a\x00c",
+        node_id("x", "DRU"): "x",
+    }
+    edges = pd.read_parquet(ed)
+    assert sorted(edges["subj_id"]) == sorted(node_id(s, "DIS") for s in subj)
 
 
 def test_bucketed_ops_survive_extreme_key_skew(ray_session):

@@ -3,7 +3,7 @@ out: offsets always partition the sentence, span/BIO round-trips, boundary
 strip idempotence, run-length decode/encode inverses, split determinism."""
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from medical_knowledge_graph_ray.functions.spans import fill_spans, runs
@@ -150,3 +150,67 @@ def test_split_heldout_mask_matches_scalar():
     want = np.array([split_of(u, o) != "train" for u, o in zip(urls, ords)])
     assert (got == want).all()
     assert want.any()  # the corpus slice actually exercises both branches
+
+
+# surfaces that exercise every normalizer branch: casefold specials (ß ẞ İ ς
+# ﬁ), ASCII and full-width brackets, whitespace, NUL and the empty string
+_SURF = st.text(
+    alphabet=st.sampled_from(list("aB ß ẞ İ ς ﬁ ()[]（）【】 \t\n\u3000\x00")),
+    max_size=6,
+)
+_TRIPLE = st.tuples(
+    _SURF, _SURF, st.sampled_from(["rel", "rel\x00a", "rel\x00b", ""]),
+    _SURF, _SURF, st.floats(0, 1),
+)
+
+
+@given(st.lists(_TRIPLE, max_size=40), st.integers(0, 40))
+@example([], 0)
+@example([("a", "T", "rel", "x", "T", 0.5)], 1)
+@example([("", "T", "rel", "\x00", "T", 0.5)], 0)
+@settings(max_examples=200, deadline=None)
+def test_partial_graph_batch_matches_python_fold(rows, split):
+    """The dictionary-encoded graph kernel equals a plain-Python fold over
+    ``node_id``/``normalize_surface`` on any (chunked) batch: one node row
+    per id with its normalized name, count and max prob, one edge row per
+    (subj_id, pred, obj_id), and every edge endpoint a node."""
+    import pyarrow as pa
+
+    from medical_knowledge_graph_ray.stages.canonicalize import (
+        node_id,
+        normalize_surface,
+        partial_graph_batch,
+    )
+    from medical_knowledge_graph_ray.stages.triples import TRIPLE_SCHEMA
+
+    cols = ["subj", "subj_type", "pred", "obj", "obj_type", "prob"]
+    t = pa.table(
+        {c: [r[i] for r in rows] for i, c in enumerate(cols)}
+        | {"url": ["u"] * len(rows), "sent_ord": list(range(len(rows)))},
+        schema=TRIPLE_SCHEMA,
+    )
+    split = min(split, len(rows))
+    t = pa.concat_tables([t.slice(0, split), t.slice(split)])
+
+    want_nodes: dict = {}
+    want_edges: dict = {}
+    for subj, stype, pred, obj, otype, p in rows:
+        for surface, etype in ((subj, stype), (obj, otype)):
+            nid = node_id(surface, etype)
+            *_, n, pmax = want_nodes.get(nid, (None, None, 0, p))
+            want_nodes[nid] = (normalize_surface(surface), etype, n + 1, max(pmax, p))
+        key = (node_id(subj, stype), pred, node_id(obj, otype))
+        n, pmax = want_edges.get(key, (0, p))
+        want_edges[key] = (n + 1, max(pmax, p))
+
+    got = partial_graph_batch(t).to_pylist()
+    nodes = [r for r in got if r["kind"] == "n"]
+    edges = [r for r in got if r["kind"] == "e"]
+    assert len(nodes) + len(edges) == len(got)
+    got_nodes = {r["a"]: (r["name"], r["b"], r["n"], r["p"]) for r in nodes}
+    assert len(got_nodes) == len(nodes) and all(r["c"] == "" for r in nodes)
+    assert got_nodes == want_nodes
+    got_edges = {(r["a"], r["b"], r["c"]): (r["n"], r["p"]) for r in edges}
+    assert len(got_edges) == len(edges) and all(r["name"] == "" for r in edges)
+    assert got_edges == want_edges
+    assert {k[0] for k in got_edges} | {k[2] for k in got_edges} <= set(got_nodes)

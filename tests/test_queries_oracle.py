@@ -56,7 +56,7 @@ def test_rows_only_queries_run(ray_session):
     for name, fn in qs.items():
         if name in oracles or name.startswith("kg_triples_pages"):
             continue
-        if name in ("kg_edges_pages",):  # covered by e2e golden test
+        if name in ("kg_edges_pages",):  # entry() runs it: test_entry_smoke
             continue
         out = to_pandas(fn(SF_DIR))
         assert out is not None and len(out.columns) > 0
