@@ -587,7 +587,7 @@ def kg_nodes_ontology(sf_dir: str):
 
     def add_oid(b: pd.DataFrame) -> pd.DataFrame:
         b = b.copy()
-        b["ontology_id"] = ontology_ids(b["ent_type"])
+        b["ontology_id"] = ontology_ids(b["ent_type"]).to_numpy(zero_copy_only=False)
         return b
 
     return ds.map_batches(arrow_out(add_oid), batch_format="pandas")

@@ -13,6 +13,7 @@ nothing about the result set at any parallelism.
 from __future__ import annotations
 
 import pandas as pd
+import pyarrow as pa
 
 from ..sources.pages import pages_table
 from ..stages.canonicalize import node_id, normalize_surface
@@ -131,7 +132,7 @@ def oracle_nodes(triples: pd.DataFrame) -> pd.DataFrame:
     )
     from ..stages.canonicalize import ontology_ids
 
-    out["ontology_id"] = ontology_ids(out["type"])
+    out["ontology_id"] = ontology_ids(out["type"]).to_numpy(zero_copy_only=False)
     return out[["node_id", "canonical_name", "type", "ontology_id",
                 "n_mentions", "prob_max"]]
 
@@ -140,9 +141,15 @@ def oracle_edges(triples: pd.DataFrame) -> pd.DataFrame:
     df = triples.copy()
     df["subj_id"] = [node_id(s, t) for s, t in zip(df["subj"], df["subj_type"])]
     df["obj_id"] = [node_id(o, t) for o, t in zip(df["obj"], df["obj_type"])]
+    # grouped on pred's Arrow dictionary code: pandas object hashing would
+    # merge preds that differ only after a NUL
+    df["pred_code"] = (
+        pa.array(df["pred"], pa.string()).dictionary_encode().indices.to_numpy()
+    )
     out = (
-        df.groupby(["subj_id", "pred", "obj_id"], sort=False)
-        .agg(weight=("prob", "max"), n_evidence=("prob", "size"))
+        df.groupby(["subj_id", "pred_code", "obj_id"], sort=False)
+        .agg(pred=("pred", "first"), weight=("prob", "max"),
+             n_evidence=("prob", "size"))
         .reset_index()
         .sort_values("subj_id", kind="mergesort")
         .reset_index(drop=True)

@@ -27,17 +27,17 @@ from __future__ import annotations
 import hashlib
 import time
 
-import numpy as np
 import pandas as pd
 
 _LEDGER = "_mkg_slices"
 
 
 def _slice_digest(b: pd.DataFrame) -> str:
+    """Content digest of one block: md5 over its per-row hashes IN ROW
+    ORDER, so a retry of the same block matches and a block holding the
+    same rows in another order does not."""
     h = pd.util.hash_pandas_object(b, index=False).to_numpy()
-    return hashlib.md5(
-        f"{len(b)}|{int(h.sum(dtype=np.uint64))}".encode()
-    ).hexdigest()[:16]
+    return hashlib.md5(h.tobytes()).hexdigest()[:16]
 
 
 def _sqlite_connect(db_path: str, *, init: bool = False):

@@ -19,6 +19,12 @@ naive ``groupby(key).map_groups``, so ``finalize_graph_write`` runs
 2. *final* — ONE range-bucketed exchange over both partial kinds with
    associative aggregates (Sum / Max), written task-side per bucket.
 
+Node ids cross the exchange as their 64-bit md5 digests in fixed-width
+``uint64`` columns (unsigned, so id order is the order of the hex
+strings); the ``n`` + 16-hex ``node_id`` form is spelled only when a
+bucket writes its files (``format_ids``).  Both phases run on Arrow
+tables and numpy arrays — no DataFrame is built.
+
 This removes the need for explicit key salting for count/max aggregates
 while remaining deterministic; the partial rows are the "salted" shards.
 """
@@ -28,7 +34,6 @@ from __future__ import annotations
 import re
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
@@ -48,12 +53,19 @@ NODE_SCHEMA = pa.schema(
 )
 
 
-def ontology_ids(types: pd.Series) -> pd.Series:
-    """External-ontology class id per node type (config.yaml:100-114):
-    derived from ``type`` at finalize time — it never rides an exchange."""
+def ontology_ids(types) -> pa.Array:
+    """External-ontology class id per node type, '' for a type with none
+    (config.yaml:100-114): derived from ``type`` at finalize time — it
+    never rides an exchange.  ``types`` is any string array-like."""
     from ..ontology import ONTOLOGY_MAPPING
 
-    return types.map(ONTOLOGY_MAPPING).fillna("").astype(str)
+    enc = pa.array(types, pa.string()).dictionary_encode()
+    ids = pa.array(
+        [ONTOLOGY_MAPPING.get(t, "") for t in enc.dictionary.to_pylist()],
+        pa.string(),
+    )
+    return ids.take(enc.indices).fill_null("")
+
 
 EDGE_SCHEMA = pa.schema(
     [
@@ -78,15 +90,36 @@ def node_id(surface: str, etype: str) -> str:
 
 GRAPH_PARTIAL_SCHEMA = pa.schema(
     [
-        ("kind", pa.string()),           # 'n' | 'e'
-        ("a", pa.string()),              # node_id | subj_id
+        ("kind", pa.int8()),             # 0 node | 1 edge
+        ("a", pa.uint64()),              # node id | subj id (md5 digest)
         ("b", pa.string()),              # type | pred
-        ("c", pa.string()),              # '' | obj_id
+        ("c", pa.uint64()),              # 0 | obj id
         ("name", pa.string()),           # canonical_name | ''
         ("n", pa.int64()),               # n_mentions | n_evidence
         ("p", pa.float64()),             # prob_max | weight
     ]
 )
+
+
+def format_ids(digest: np.ndarray) -> pa.Array:
+    """64-bit digests → their ``node_id`` strings (``"n"`` + 16 lowercase
+    hex), as one Arrow string array built from fixed-width buffers."""
+    digest = np.asarray(digest, ">u8")
+    chars = np.full((len(digest), 17), ord("n"), np.uint8)
+    chars[:, 1:] = np.frombuffer(
+        digest.tobytes().hex().encode(), np.uint8
+    ).reshape(-1, 16)
+    offsets = np.arange(0, chars.size + 1, 17, dtype=np.int32)
+    return pa.Array.from_buffers(
+        pa.string(), len(digest), [None, pa.py_buffer(offsets), pa.py_buffer(chars)]
+    )
+
+
+def bucket_of(digest: np.ndarray, num_buckets: int) -> np.ndarray:
+    """Range bucket of each 64-bit id from its top byte (md5-uniform over
+    [0, 256)), so bucket order IS id order."""
+    top = (np.asarray(digest, np.uint64) >> np.uint64(56)).astype(np.int64)
+    return (top * num_buckets // 256).astype(np.int32)
 
 
 def _groups(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -111,9 +144,10 @@ def partial_graph_batch(batch: pa.Table) -> pa.Table:
     Every key is built once per batch from integer codes: the subj+obj
     surfaces are dictionary-encoded, ``normalize_surface`` runs over the
     distinct surfaces only, each distinct (name, type) key is md5-hashed
-    once (``md5_int_vec`` of ``name + "\x1f" + type``, i.e. ``node_id``),
-    and node and edge partials combine on those codes in numpy.  No pandas
-    object hashing touches a surface: it truncates strings at NUL."""
+    once (``md5_int_vec`` of ``name + "\x1f" + type``, i.e. ``node_id``'s
+    64-bit digest, kept as ``uint64``), and node and edge partials combine
+    on those codes in numpy.  No pandas object hashing touches a surface:
+    it truncates strings at NUL."""
     n = batch.num_rows
 
     def encode(*cols: str) -> pa.DictionaryArray:
@@ -136,10 +170,9 @@ def partial_graph_batch(batch: pa.Table) -> pa.Table:
     first, key = _groups(name_code * len(etype.dictionary) + type_code)
     key_name = names.dictionary.take(name_code[first])
     key_type = etype.dictionary.take(type_code[first])
-    digest = md5_int_vec(
+    ids = md5_int_vec(
         pc.binary_join_element_wise(key_name, key_type, "\x1f"), bits=64
     )
-    ids = pa.array([f"n{h:016x}" for h in digest.tolist()], pa.string())
     prob = batch.column("prob").to_numpy()
     node_n, node_p = _count_max(key, len(first), np.concatenate([prob, prob]))
 
@@ -154,10 +187,13 @@ def partial_graph_batch(batch: pa.Table) -> pa.Table:
     k, e = len(first), len(edge_row)
     return pa.Table.from_arrays(
         [
-            pa.concat_arrays([pa.repeat("n", k), pa.repeat("e", e)]),
-            pa.concat_arrays([ids, ids.take(key[edge_row])]),
+            pa.array(np.repeat(np.array([0, 1], np.int8), [k, e])),
+            pa.array(np.concatenate([ids, ids[key[edge_row]]]), pa.uint64()),
             pa.concat_arrays([key_type, pred.dictionary.take(pred_code[edge_row])]),
-            pa.concat_arrays([pa.repeat("", k), ids.take(key[n + edge_row])]),
+            pa.array(
+                np.concatenate([np.zeros(k, np.uint64), ids[key[n + edge_row]]]),
+                pa.uint64(),
+            ),
             pa.concat_arrays([key_name, pa.repeat("", e)]),
             pa.array(np.concatenate([node_n, edge_n]), pa.int64()),
             pa.array(np.concatenate([node_p, edge_p]), pa.float64()),
@@ -166,14 +202,46 @@ def partial_graph_batch(batch: pa.Table) -> pa.Table:
     )
 
 
-def _hex2_code(s: pd.Series) -> "np.ndarray":
-    """Vectorized value of hex chars [1:3) of each id (ids are
-    '<prefix-char>' + 16 lowercase hex — md5-uniform, so the code is
-    uniform over [0, 256))."""
-    raw = np.asarray(s.to_numpy(), dtype="U3").view("uint32").reshape(-1, 3)
-    c = raw[:, 1:3].astype("uint32")
-    digit = c - 48 - (c >= 97) * 39  # '0'-'9' → 0-9, 'a'-'f' → 10-15
-    return (digit[:, 0] * 16 + digit[:, 1]).astype("int32")
+def _combine_bucket(g: pa.Table) -> tuple[pa.Table, pa.Table]:
+    """One bucket's partials → its (nodes, edges) tables: n = Sum,
+    p = NaN-skipping Max and name = first per (kind, a, b, c).  Nodes come
+    out ordered by id, edges by (subj id, pred, obj id) with preds in
+    string order; ``b`` is grouped on its Arrow dictionary codes, so no
+    string is hashed (pandas object hashing truncates at NUL)."""
+    b = g.column("b").combine_chunks().dictionary_encode()
+    rank = np.empty(len(b.dictionary), np.int64)
+    rank[np.asarray(pc.array_sort_indices(b.dictionary))] = np.arange(len(rank))
+    kind, a, c = (g.column(col).to_numpy() for col in ("kind", "a", "c"))
+    keys = (kind, a, rank[np.asarray(b.indices)], c)
+    order = np.lexsort(keys[::-1])
+    new = np.zeros(len(order), bool)
+    new[0] = True
+    for k in keys:
+        k = k[order]
+        new[1:] |= k[1:] != k[:-1]
+    starts = np.flatnonzero(new)
+    first = order[starts]
+    n = np.add.reduceat(g.column("n").to_numpy()[order], starts)
+    p = np.fmax.reduceat(g.column("p").to_numpy()[order], starts)
+    split = int(np.searchsorted(kind[first], 1))  # kind 0 (nodes) sorts first
+
+    def take(col: str, rows: np.ndarray) -> pa.Array:
+        return g.column(col).take(rows).combine_chunks()
+
+    # from_pandas: a NaN max is written as null, as the pandas writer did
+    node, edge = first[:split], first[split:]
+    types = take("b", node)
+    nodes = pa.Table.from_arrays(
+        [format_ids(a[node]), take("name", node), types, ontology_ids(types),
+         pa.array(n[:split]), pa.array(p[:split], from_pandas=True)],
+        schema=NODE_SCHEMA,
+    )
+    edges = pa.Table.from_arrays(
+        [format_ids(a[edge]), take("b", edge), format_ids(c[edge]),
+         pa.array(p[split:], from_pandas=True), pa.array(n[split:])],
+        schema=EDGE_SCHEMA,
+    )
+    return nodes, edges
 
 
 def finalize_graph_write(
@@ -191,13 +259,14 @@ def finalize_graph_write(
     * ``partial_graph_batch`` combines each triple batch to ≤ 1 partial
       row per node key and per edge key.
     * ONE bucketed exchange serves both tables: partials are
-      RANGE-bucketed on the md5-uniform id prefix (``_hex2_code`` of
-      column ``a`` — node_id for node partials, subj_id for edge
-      partials), so bucket order IS global id order.
-    * Each bucket task combines both kinds (n=Sum, p=Max per
-      (kind, a, b, c); a node's name comes with its id), sorts within
-      the bucket, and writes one nodes file and one edges file
-      task-side (``part-<bucket>.parquet``; rewrite-idempotent).
+      RANGE-bucketed on the top byte of the uint64 id in column ``a``
+      (``bucket_of`` — the node id for node partials, the subj id for
+      edge partials), so bucket order IS global id order.
+    * Each bucket task combines both kinds in numpy
+      (``_combine_bucket``: n=Sum, p=Max per (kind, a, b, c); a node's
+      name comes with its id), sorts within the bucket, spells the ids,
+      and writes one nodes file and one edges file task-side
+      (``part-<bucket>.parquet``; rewrite-idempotent).
       Range-ordered filenames + within-file sort ⇒ the edges table
       reads globally sorted by subj_id (north_rule) with NO sort
       operator; ties additionally ordered by (pred, obj_id), making
@@ -218,7 +287,6 @@ def finalize_graph_write(
 
     import pyarrow.parquet as pq
 
-    from ..functions.arrow import arrow_out
     from ..state.manifests import write_manifest
 
     tmp = {
@@ -233,76 +301,32 @@ def finalize_graph_write(
         partial_graph_batch, batch_format="pyarrow", batch_size=65536
     )
 
-    def _assign(b: pd.DataFrame) -> pd.DataFrame:
-        b = b.copy()
-        b["_bucket"] = (
-            (_hex2_code(b["a"]) * num_buckets) // 256
-            if len(b)
-            else np.empty(0, "int32")
+    def _assign(t: pa.Table) -> pa.Table:
+        return t.append_column(
+            "_bucket", pa.array(bucket_of(t.column("a").to_numpy(), num_buckets))
         )
-        return b
 
-    def _write_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        if not len(g):
-            return pd.DataFrame(
-                {"table": pd.array([], "str"),
-                 "bucket": pd.array([], "int32"),
-                 "rows": pd.array([], "int64")}
-            )
-        bucket = int(g["_bucket"].iloc[0])
-        # name is a function of the node id: taken, never grouped on
-        # (pandas object hashing truncates strings at NUL)
-        m = (
-            g.groupby(["kind", "a", "b", "c"], sort=False)
-            .agg(n=("n", "sum"), p=("p", "max"), name=("name", "first"))
-            .reset_index()
-        )
+    def _write_bucket(g: pa.Table) -> pa.Table:
         out = []
-        nodes = m[m["kind"] == "n"].sort_values("a", kind="mergesort")
-        if len(nodes):
-            nt = pd.DataFrame(
-                {
-                    "node_id": nodes["a"].to_numpy(),
-                    "canonical_name": nodes["name"].to_numpy(),
-                    "type": nodes["b"].to_numpy(),
-                    "ontology_id": ontology_ids(nodes["b"]).to_numpy(),
-                    "n_mentions": nodes["n"].to_numpy("int64"),
-                    "prob_max": nodes["p"].to_numpy("float64"),
-                }
-            )
-            pq.write_table(
-                pa.Table.from_pandas(nt, schema=NODE_SCHEMA, preserve_index=False).replace_schema_metadata(None),
-                os.path.join(tmp["nodes"], f"part-{bucket:04d}.parquet"),
-            )
-            out.append(("nodes", bucket, len(nt)))
-        edges = m[m["kind"] == "e"].sort_values(
-            ["a", "b", "c"], kind="mergesort"
-        )
-        if len(edges):
-            et = pd.DataFrame(
-                {
-                    "subj_id": edges["a"].to_numpy(),
-                    "pred": edges["b"].to_numpy(),
-                    "obj_id": edges["c"].to_numpy(),
-                    "weight": edges["p"].to_numpy("float64"),
-                    "n_evidence": edges["n"].to_numpy("int64"),
-                }
-            )
-            pq.write_table(
-                pa.Table.from_pandas(et, schema=EDGE_SCHEMA, preserve_index=False).replace_schema_metadata(None),
-                os.path.join(tmp["edges"], f"part-{bucket:04d}.parquet"),
-            )
-            out.append(("edges", bucket, len(et)))
-        return pd.DataFrame(
-            {"table": pd.array([t for t, _, _ in out], "str"),
-             "bucket": pd.array([b_ for _, b_, _ in out], "int32"),
-             "rows": pd.array([r for _, _, r in out], "int64")}
+        if g.num_rows:
+            bucket = g.column("_bucket")[0].as_py()
+            for name, table in zip(("nodes", "edges"), _combine_bucket(g)):
+                if table.num_rows:
+                    pq.write_table(
+                        table,
+                        os.path.join(tmp[name], f"part-{bucket:04d}.parquet"),
+                    )
+                    out.append((name, bucket, table.num_rows))
+        return pa.table(
+            {"table": pa.array([t for t, _, _ in out], pa.string()),
+             "bucket": pa.array([b_ for _, b_, _ in out], pa.int32()),
+             "rows": pa.array([r for _, _, r in out], pa.int64())}
         )
 
     (
-        parts.map_batches(arrow_out(_assign), batch_format="pandas")
+        parts.map_batches(_assign, batch_format="pyarrow")
         .groupby("_bucket")
-        .map_groups(arrow_out(_write_bucket), batch_format="pandas")
+        .map_groups(_write_bucket, batch_format="pyarrow")
         .count()
     )
 

@@ -245,6 +245,19 @@ class _Member:
         return out
 
 
+def _span_means(values: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """``values[s:e].mean()`` per span, bit for bit: each span is summed
+    over its own elements (grouped by length, one gather + row sum per
+    length), so a mean does not depend on where its span sits in
+    ``values``."""
+    lens = ends - starts
+    out = np.empty(len(lens))
+    for n in np.unique(lens):
+        sel = np.flatnonzero(lens == n)
+        out[sel] = values[starts[sel, None] + np.arange(n)].sum(axis=1) / n
+    return out
+
+
 def union_strong_spans(
     member_tids: list[np.ndarray],
 ) -> list[tuple[int, int, int, tuple[int, ...]]]:
@@ -596,11 +609,9 @@ class EnsembleNER:
             k_support = support.sum(axis=0)
             keep = k_support >= 2
             if keep.any():
-                pc_cum = np.zeros(L + 1)
-                np.cumsum(prob_combined, out=pc_cum[1:])
                 ens_gs, ens_ge = rs[keep], re_[keep]
                 ens_tid = rt[keep].astype(np.int16)
-                ens_x3 = (pc_cum[ens_ge] - pc_cum[ens_gs]) / (ens_ge - ens_gs)
+                ens_x3 = _span_means(prob_combined, ens_gs, ens_ge)
                 ens_mask = mask_id[keep]
                 ens_k = k_support[keep]
 

@@ -128,6 +128,41 @@ def test_finalize_keeps_names_that_differ_after_nul(ray_session, tmp_path):
     assert sorted(edges["subj_id"]) == sorted(node_id(s, "DIS") for s in subj)
 
 
+def test_finalize_and_oracle_keep_preds_that_differ_after_nul(
+    ray_session, tmp_path
+):
+    """Two triples with the same endpoints whose preds share a prefix up
+    to a NUL are two edges, in the finalize (one bucket) and in the
+    oracle alike (pandas object hashing merges such strings)."""
+    import os
+
+    import pyarrow as pa
+    import ray.data as rd
+
+    from medical_knowledge_graph_ray.pipelines.oracle import oracle_edges
+    from medical_knowledge_graph_ray.stages.canonicalize import (
+        finalize_graph_write,
+        node_id,
+    )
+    from medical_knowledge_graph_ray.stages.triples import TRIPLE_SCHEMA
+
+    preds = ["rel\x00a", "rel\x00b"]
+    tri = pa.table(
+        {"subj": ["s"] * 2, "subj_type": ["DIS"] * 2, "pred": preds,
+         "obj": ["x"] * 2, "obj_type": ["DRU"] * 2, "prob": [0.5, 0.7],
+         "url": ["u"] * 2, "sent_ord": [0, 1]},
+        schema=TRIPLE_SCHEMA,
+    )
+    want = {(node_id("s", "DIS"), p, node_id("x", "DRU")): (w, 1)
+            for p, w in zip(preds, [0.5, 0.7])}
+    nd, ed = os.path.join(tmp_path, "nodes"), os.path.join(tmp_path, "edges")
+    finalize_graph_write(rd.from_arrow(tri), nd, ed, "nul-pred", num_buckets=1)
+    for edges in (pd.read_parquet(ed), oracle_edges(tri.to_pandas())):
+        got = {(r.subj_id, r.pred, r.obj_id): (r.weight, r.n_evidence)
+               for r in edges.itertuples()}
+        assert len(edges) == 2 and got == want
+
+
 def test_bucketed_ops_survive_extreme_key_skew(ray_session):
     """90% of rows on ONE key: hash_join and bucketed_group_map must stay
     correct (the hot bucket simply does more vectorized work)."""

@@ -635,6 +635,27 @@ def test_sql_datasink_exactly_once_and_concurrent(ray_session, tmp_path):
     assert len(read_sql_table("edges", db_path=db)) == 5000
 
 
+def test_sql_sink_tells_reordered_blocks_from_retries(ray_session, tmp_path):
+    """The slice ledger keys a block on its rows IN ORDER: two blocks of
+    one write holding the same rows in different orders both land, while
+    a re-sent identical block lands once."""
+    import ray.data as rd
+
+    from medical_knowledge_graph_ray.sources.dbsink import (
+        read_sql_table, write_sql_table,
+    )
+
+    db = str(tmp_path / "sink.db")
+    df = pd.DataFrame({"k": [1, 2, 3], "name": ["a", "b", "c"]})
+    rev = df.iloc[::-1].reset_index(drop=True)
+    m = write_sql_table(rd.from_pandas([df, rev]), "t", db_path=db)
+    assert m == {"rows": 6, "slices": 2}
+    m2 = write_sql_table(rd.from_pandas([df]), "t", db_path=db)
+    assert m2 == {"rows": 0, "slices": 0}
+    back = read_sql_table("t", db_path=db)
+    assert sorted(back["k"]) == [1, 1, 2, 2, 3, 3]
+
+
 def test_merge_join_equals_hash_join(ray_session):
     """The sort-merge strategy is row-identical to the partitioned hash
     join (inner, single int64 key), including duplicate-key expansion

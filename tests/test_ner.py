@@ -234,3 +234,30 @@ def test_predict_sentences_matches_batch_pipeline():
     )
     got = [(m["model"], m["ent_name"], m["start"], m["end"]) for m in online]
     assert got == [tuple(r) for r in offline]
+
+
+def test_triples_do_not_depend_on_the_sentence_offset_in_the_batch():
+    """A sentence's triples — ``prob`` included, bit for bit — are the
+    same when it is the whole batch and when it sits at a non-zero
+    offset inside a 2,048-sentence batch (the ensemble mention's mean
+    char prob is summed over the mention's own chars)."""
+    import pandas as pd
+
+    from medical_knowledge_graph_ray.pipelines.kg import MentionStage
+    from medical_knowledge_graph_ray.sources.pages import pages_table
+    from medical_knowledge_graph_ray.stages.extract import extract_text_batch
+    from medical_knowledge_graph_ray.stages.sentences import split_batch
+
+    pages = pages_table(400)
+    batch = split_batch(extract_text_batch(pages).select(["url", "text"])).slice(0, 2048)
+    assert batch.num_rows == 2048
+    stage = MentionStage()
+    full = stage(batch).to_pandas()
+    compared = 0
+    for i in range(1, 2048, 16):
+        alone = stage(batch.slice(i, 1)).to_pandas()
+        row = batch.slice(i, 1).to_pylist()[0]
+        within = full[(full["url"] == row["url"]) & (full["sent_ord"] == row["sent_ord"])]
+        pd.testing.assert_frame_equal(alone, within.reset_index(drop=True), check_exact=True)
+        compared += len(alone)
+    assert compared > 50

@@ -172,8 +172,9 @@ _TRIPLE = st.tuples(
 def test_partial_graph_batch_matches_python_fold(rows, split):
     """The dictionary-encoded graph kernel equals a plain-Python fold over
     ``node_id``/``normalize_surface`` on any (chunked) batch: one node row
-    per id with its normalized name, count and max prob, one edge row per
-    (subj_id, pred, obj_id), and every edge endpoint a node."""
+    (kind 0, c 0) per id with its normalized name, count and max prob, one
+    edge row (kind 1) per (subj_id, pred, obj_id), and every edge endpoint
+    a node; the uint64 ids spell ``node_id`` as ``n`` + 16 hex."""
     import pyarrow as pa
 
     from medical_knowledge_graph_ray.stages.canonicalize import (
@@ -204,13 +205,34 @@ def test_partial_graph_batch_matches_python_fold(rows, split):
         want_edges[key] = (n + 1, max(pmax, p))
 
     got = partial_graph_batch(t).to_pylist()
-    nodes = [r for r in got if r["kind"] == "n"]
-    edges = [r for r in got if r["kind"] == "e"]
-    assert len(nodes) + len(edges) == len(got)
-    got_nodes = {r["a"]: (r["name"], r["b"], r["n"], r["p"]) for r in nodes}
-    assert len(got_nodes) == len(nodes) and all(r["c"] == "" for r in nodes)
+    assert {r["kind"] for r in got} <= {0, 1}
+    nodes = [r for r in got if r["kind"] == 0]
+    edges = [r for r in got if r["kind"] == 1]
+    got_nodes = {f"n{r['a']:016x}": (r["name"], r["b"], r["n"], r["p"]) for r in nodes}
+    assert len(got_nodes) == len(nodes) and all(r["c"] == 0 for r in nodes)
     assert got_nodes == want_nodes
-    got_edges = {(r["a"], r["b"], r["c"]): (r["n"], r["p"]) for r in edges}
+    got_edges = {
+        (f"n{r['a']:016x}", r["b"], f"n{r['c']:016x}"): (r["n"], r["p"])
+        for r in edges
+    }
     assert len(got_edges) == len(edges) and all(r["name"] == "" for r in edges)
     assert got_edges == want_edges
     assert {k[0] for k in got_edges} | {k[2] for k in got_edges} <= set(got_nodes)
+
+
+def test_id_formatter_and_bucket_match_the_hex_forms():
+    """``format_ids`` spells each 64-bit digest as ``node_id`` does, and
+    ``bucket_of`` equals the range bucket read off hex chars 1–2 of that
+    string, at the extremes and on random digests."""
+    from medical_knowledge_graph_ray.stages.canonicalize import bucket_of, format_ids
+
+    rng = np.random.default_rng(7)
+    digests = [0, 1, 2**63 - 1, 2**63, 2**64 - 1] + [
+        int(x) for x in rng.integers(0, 2**64 - 1, 200, dtype=np.uint64, endpoint=True)
+    ]
+    h = np.array(digests, np.uint64)
+    ids = [f"n{d:016x}" for d in digests]
+    assert format_ids(h).to_pylist() == ids
+    assert format_ids(h[:0]).to_pylist() == []
+    for nb in (1, 3, 16, 32):
+        assert bucket_of(h, nb).tolist() == [int(s[1:3], 16) * nb // 256 for s in ids]
