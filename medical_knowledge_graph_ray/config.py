@@ -21,7 +21,6 @@ Knobs (reference analogues):
 * ``merging`` — False ⇒ skip the E1-E7 rule-merge stage
   (``config.yaml`` ``merging`` switch consumed at
   ``generation.py:304-340``).
-* ``ner_batch_size`` — physical tuning: sentences per NER task batch.
 * ``ner_num_gpus`` — per-task GPU reservation for the NER scorer tasks
   (the reference moves its models to CUDA when available,
   ``multi_source_ner.py:819-825``).  ``None`` (default) requests no
@@ -50,7 +49,6 @@ class EngineConfig:
     prediction_models: tuple[str, ...] | None = None
     ner_on: bool = True
     merging: bool = True
-    ner_batch_size: int | None = None
     ner_num_gpus: float | None = None
     trained_model_dir: str | None = None
     neural_model_dir: str | None = None
@@ -81,15 +79,14 @@ class EngineConfig:
             models = tuple(models)
         known = {
             "gazetteer", "prediction_models", "ner_on", "merging",
-            "ner_batch_size", "ner_num_gpus",
-            "trained_model_dir", "neural_model_dir", "eval_override",
+            "ner_num_gpus", "trained_model_dir", "neural_model_dir",
+            "eval_override",
         }
         return cls(
             gazetteer=gaz,
             prediction_models=models,
             ner_on=raw.get("ner_on", True),
             merging=raw.get("merging", True),
-            ner_batch_size=raw.get("ner_batch_size"),
             ner_num_gpus=raw.get("ner_num_gpus"),
             trained_model_dir=raw.get("trained_model_dir"),
             neural_model_dir=raw.get("neural_model_dir"),

@@ -21,6 +21,7 @@ __all__ = [
     "stable_bucket",
     "md5_int_vec",
     "stable_bucket_vec",
+    "block_digest",
 ]
 
 
@@ -49,6 +50,21 @@ def stable_unit(*parts: object) -> float:
     """Deterministic float in [0, 1) from the key parts (seeded 'randomness'
     for synthetic model scorers; never ``random`` in distributed stages)."""
     return md5_int("\x1f".join(str(p) for p in parts), bits=52) / float(1 << 52)
+
+
+def block_digest(table) -> str:
+    """16-hex-char md5 over a block's Arrow IPC bytes — the sinks' slice
+    name and retry key.  It reads the bytes in row order, so a retried
+    block (same rows, same order) matches, while a block holding the same
+    rows in another order, or strings that differ only after a NUL, does
+    not.  Schema metadata and chunking do not enter the digest."""
+    import pyarrow as pa
+
+    t = table.replace_schema_metadata(None).combine_chunks()
+    sink = pa.BufferOutputStream()
+    with pa.ipc.new_stream(sink, t.schema) as writer:
+        writer.write_table(t)
+    return hashlib.md5(sink.getvalue()).hexdigest()[:16]
 
 
 def stable_bucket(s: str, n: int) -> int:

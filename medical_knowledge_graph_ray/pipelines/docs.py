@@ -15,6 +15,7 @@ from ..stages.dedup import (
     ngram_jaccard_group,
     simhash_batch,
 )
+from ..stages.shuffle import fold_groups
 from ..stages.text_stats import (
     doc_stats_batch,
     fingerprint_batch,
@@ -330,7 +331,6 @@ def embed_kmeans(sf_dir: str) -> pd.DataFrame:
     the pytest gates pin (a) bit-identical centroids at any parallelism
     (exact int64 fixed-point partials), (b) distributed ≡ dense driver
     path, and (c) recovery of the testdata's planted label structure."""
-    from ray.data.aggregate import Sum
 
     from ..stages.clustering import FP_SCALE, kmeans_assign, kmeans_fit
 
@@ -345,12 +345,9 @@ def embed_kmeans(sf_dir: str) -> pd.DataFrame:
             .reset_index()
         )
 
-    agg = (
-        assigned.map_batches(arrow_out(partial), batch_format="pandas")
-        .groupby("cluster")
-        .aggregate(Sum("n", alias_name="n"), Sum("sim_ppm", alias_name="sim_ppm"))
-        .to_pandas()  # ≤ k rows
-    )
+    agg = fold_groups(  # ≤ k rows
+        assigned.map_batches(arrow_out(partial), batch_format="pandas"),
+        ["cluster"], [("n", "sum"), ("sim_ppm", "sum")])
     return pd.DataFrame(
         {
             "cluster": agg["cluster"].astype("int32"),
@@ -5465,8 +5462,6 @@ def docs_readability(sf_dir: str) -> pd.DataFrame:
     ZERO data-sized exchanges."""
     import numpy as np
 
-    from ray.data.aggregate import Sum
-
     docs = _docs(sf_dir, ["source", "text"])
 
     def partial(b: pd.DataFrame) -> pd.DataFrame:
@@ -5487,13 +5482,10 @@ def docs_readability(sf_dir: str) -> pd.DataFrame:
                          "n_words": "int64", "n_syllables": "int64",
                          "n_poly": "int64"})
 
-    agg = (docs.map_batches(arrow_out(partial), batch_format="pandas")
-           .groupby("source")
-           .aggregate(Sum("n_docs", alias_name="n_docs"),
-                      Sum("n_words", alias_name="n_words"),
-                      Sum("n_syllables", alias_name="n_syllables"),
-                      Sum("n_poly", alias_name="n_poly"))
-           .to_pandas())  # <= |sources| rows
+    agg = fold_groups(  # <= |sources| rows
+        docs.map_batches(arrow_out(partial), batch_format="pandas"),
+        ["source"], [("n_docs", "sum"), ("n_words", "sum"),
+                     ("n_syllables", "sum"), ("n_poly", "sum")])
     # Python-int floor division driver-side: the product
     # syllables * 10^6 outgrows int64 around 10^12 words per source
     comp = [int(s) * 1_000_000 // int(w) if w else 0
@@ -6054,11 +6046,9 @@ def embed_topk_dims(sf_dir: str) -> pd.DataFrame:
     """Per-label TOP-5 embedding dimensions by total |activation| — the
     feature-importance census over the vector table.  Per-batch exact
     int64 partials (each |x| floored to micro BEFORE the sum — the
-    order-free integer contract), one tiny (label × dim) exchange,
+    order-free integer contract), one (label × dim) driver fold,
     driver rank by (sum desc, dim asc)."""
     import numpy as np
-
-    from ray.data.aggregate import Sum
 
     def partial(b: pd.DataFrame) -> pd.DataFrame:
         if not len(b):
@@ -6077,10 +6067,10 @@ def embed_topk_dims(sf_dir: str) -> pd.DataFrame:
                  "abs_u": s}))
         return pd.concat(frames, ignore_index=True).astype("int64")
 
-    agg = (_embeddings(sf_dir).map_batches(
-        arrow_out(partial), batch_format="pandas")
-        .groupby(["label", "dim"])
-        .aggregate(Sum("abs_u", alias_name="abs_u")).to_pandas())
+    agg = fold_groups(
+        _embeddings(sf_dir).map_batches(arrow_out(partial),
+                                        batch_format="pandas"),
+        ["label", "dim"], [("abs_u", "sum")])
     agg = agg.sort_values(["label", "abs_u", "dim"],
                           ascending=[True, False, True])
     top = agg.groupby("label").head(TOPK_DIMS).reset_index(drop=True)
@@ -6126,8 +6116,6 @@ def docs_script_mix(sf_dir: str) -> pd.DataFrame:
 
     import numpy as np
 
-    from ray.data.aggregate import Sum
-
     cjk = re.compile(r"[一-鿿]")
     lat = re.compile(r"[A-Za-z]")
     dig = re.compile(r"[0-9]")
@@ -6145,13 +6133,10 @@ def docs_script_mix(sf_dir: str) -> pd.DataFrame:
         }).groupby("source", sort=False, as_index=False).sum()
         return g
 
-    agg = (docs.map_batches(arrow_out(partial), batch_format="pandas")
-           .groupby("source")
-           .aggregate(Sum("n_chars", alias_name="n_chars"),
-                      Sum("n_cjk", alias_name="n_cjk"),
-                      Sum("n_latin", alias_name="n_latin"),
-                      Sum("n_digit", alias_name="n_digit"))
-           .to_pandas())
+    agg = fold_groups(
+        docs.map_batches(arrow_out(partial), batch_format="pandas"),
+        ["source"], [("n_chars", "sum"), ("n_cjk", "sum"),
+                     ("n_latin", "sum"), ("n_digit", "sum")])
     tot = agg["n_chars"].to_numpy("int64")
     out = pd.DataFrame({
         "source": pd.array(agg["source"], "str"),
@@ -6197,12 +6182,10 @@ def embed_drift(sf_dir: str) -> pd.DataFrame:
 
     Per-batch exact int64 micro sums per (label, half, dim) — each
     value floored to micro BEFORE summation (order-free) — one bounded
-    (labels × 2 × dims) exchange; the cosine over the two integer mean
+    (labels × 2 × dims) driver fold; the cosine over the two integer mean
     vectors is the single mirrored float path, floor-micro.  Degenerate
     halves (zero vectors) emit similarity 0."""
     import numpy as np
-
-    from ray.data.aggregate import Sum
 
     def partial(b: pd.DataFrame) -> pd.DataFrame:
         if not len(b):
@@ -6229,11 +6212,10 @@ def embed_drift(sf_dir: str) -> pd.DataFrame:
                      "s_u": s, "n": int(m.sum())}))
         return pd.concat(frames, ignore_index=True).astype("int64")
 
-    agg = (_embeddings(sf_dir).map_batches(
-        arrow_out(partial), batch_format="pandas")
-        .groupby(["label", "half", "dim"])
-        .aggregate(Sum("s_u", alias_name="s_u"), Sum("n", alias_name="n"))
-        .to_pandas())
+    agg = fold_groups(
+        _embeddings(sf_dir).map_batches(arrow_out(partial),
+                                        batch_format="pandas"),
+        ["label", "half", "dim"], [("s_u", "sum"), ("n", "sum")])
     rows = []
     for lv, g in agg.groupby("label"):
         g0 = g[g["half"] == 0].sort_values("dim")

@@ -25,6 +25,7 @@ import pandas as pd
 
 from ..functions.arrow import arrow_out, read_parquet_clean
 from ..ontology import WEBTEXT_GAZETTEER
+from ..stages.shuffle import fold_groups
 
 MULTI_TERMS: list[str] = sorted(
     (t for t in WEBTEXT_GAZETTEER if " " in t), key=lambda t: (-len(t), t)
@@ -722,12 +723,9 @@ def kg_jaccard_neighbors(sf_dir: str):
             {"u": pd.array(out["u"], "str"), "d": out["d"].astype("int64")}
         )
 
-    deg = bucketed_group_map(
+    deg = fold_groups(  # node-cardinality artifact (gazetteer-bounded)
         adjacency.map_batches(arrow_out(deg_partial), batch_format="pandas"),
-        ["u"],
-        lambda g: g.groupby("u", sort=False)["d"].sum().reset_index(),
-        num_buckets=4,
-    ).to_pandas()  # node-cardinality artifact (gazetteer-bounded)
+        ["u"], [("d", "sum")])
     deg_ref = ray.put(dict(zip(deg["u"], deg["d"].astype(int))))
 
     def pair_partial(g: pd.DataFrame) -> pd.DataFrame:
@@ -841,8 +839,6 @@ def kg_ppmi(sf_dir: str):
     import numpy as np
     import ray.data as rd
 
-    from ..stages.shuffle import bucketed_group_map
-
     docs = read_parquet_clean(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
     n_total = docs.count()
 
@@ -857,16 +853,9 @@ def kg_ppmi(sf_dir: str):
              "d": pd.array([c[t] for t in sorted(c)], "int64")}
         )
 
-    tdocs = (
-        bucketed_group_map(
-            docs.map_batches(arrow_out(term_partial), batch_format="pandas"),
-            ["term"],
-            lambda g: g.groupby("term", sort=False)["d"].sum().reset_index(),
-            num_buckets=4,
-        )
-        .to_pandas()  # gazetteer-bounded census
-        .set_index("term")["d"].to_dict()
-    )
+    tdocs = fold_groups(  # gazetteer-bounded census
+        docs.map_batches(arrow_out(term_partial), batch_format="pandas"),
+        ["term"], [("d", "sum")]).set_index("term")["d"].to_dict()
 
     pairs = doc_cooccurrence(sf_dir)
 
@@ -956,12 +945,9 @@ def kg_adamic_adar(sf_dir: str):
             {"u": pd.array(out["u"], "str"), "d": out["d"].astype("int64")}
         )
 
-    deg = bucketed_group_map(
+    deg = fold_groups(  # node-cardinality artifact
         adjacency.map_batches(arrow_out(deg_partial), batch_format="pandas"),
-        ["u"],
-        lambda g: g.groupby("u", sort=False)["d"].sum().reset_index(),
-        num_buckets=4,
-    ).to_pandas()  # node-cardinality artifact
+        ["u"], [("d", "sum")])
     deg_ref = ray.put(dict(zip(deg["u"], deg["d"].astype(int))))
 
     def pair_partial(g: pd.DataFrame) -> pd.DataFrame:
@@ -1029,13 +1015,12 @@ def kg_clustering_coeff(sf_dir: str):
     Integer contract: ``cc_micro = (2·tri·10⁶) // (deg·(deg−1))`` —
     floor division of two exact int64s on both engines, no float.
 
-    Distributed shape: the degree census is one bucketed exchange over
+    Distributed shape: the degree census is one driver fold over
     the mined adjacency; the triangle census reuses the adaptive dense
     finalizer (the mined co-occurrence graph is gazetteer-bounded, the
     posture shared with ``kg_triangles``; the unbounded-node path is
     ``stages/graph.py:triangle_counts``, pinned ≡ dense by pytest)."""
     from ..stages.graph import triangle_counts_dense
-    from ..stages.shuffle import bucketed_group_map
 
     edges = doc_cooccurrence(sf_dir).map_batches(
         arrow_out(
@@ -1053,12 +1038,9 @@ def kg_clustering_coeff(sf_dir: str):
             {"u": pd.array(out["u"], "str"), "d": out["d"].astype("int64")}
         )
 
-    deg = bucketed_group_map(
+    deg = fold_groups(  # node-cardinality artifact
         edges.map_batches(arrow_out(deg_partial), batch_format="pandas"),
-        ["u"],
-        lambda g: g.groupby("u", sort=False)["d"].sum().reset_index(),
-        num_buckets=4,
-    ).to_pandas()  # node-cardinality artifact
+        ["u"], [("d", "sum")])
 
     tri = triangle_counts_dense(edges.to_pandas(), "src", "dst")
     tmap = dict(zip(tri["node"], tri["triangles"].astype(int)))
@@ -1142,15 +1124,13 @@ def kg_assortativity(sf_dir: str):
     double expression emitted floor-micro; the moments ride along so
     the parity is auditable.
 
-    Distributed shape: adjacency flat-map → bucketed degree census
+    Distributed shape: adjacency flat-map → driver-folded degree census
     (node-cardinality broadcast artifact, the rank-join posture for
     unbounded node sets) → per-batch integer moment partials → a
     six-number driver fold."""
     import math
 
     import ray
-
-    from ..stages.shuffle import bucketed_group_map
 
     edges = doc_cooccurrence(sf_dir)
 
@@ -1170,12 +1150,9 @@ def kg_assortativity(sf_dir: str):
             {"u": pd.array(out["u"], "str"), "d": out["d"].astype("int64")}
         )
 
-    deg = bucketed_group_map(
+    deg = fold_groups(
         adjacency.map_batches(arrow_out(deg_partial), batch_format="pandas"),
-        ["u"],
-        lambda g: g.groupby("u", sort=False)["d"].sum().reset_index(),
-        num_buckets=4,
-    ).to_pandas()
+        ["u"], [("d", "sum")])
     deg_ref = ray.put(dict(zip(deg["u"], deg["d"].astype(int))))
 
     def moment_partial(b: pd.DataFrame) -> pd.DataFrame:

@@ -9,6 +9,7 @@ import numpy as np
 import pandas as pd
 
 from ..functions.arrow import arrow_out, read_parquet_clean
+from ..stages.shuffle import fold_groups
 from ..stages.windows import (
     argmax_finalize,
     argmax_partial_batch,
@@ -1661,8 +1662,6 @@ def events_share_of_total(sf_dir: str):
     integers per row — the engine's ratio contract."""
     import numpy as np
 
-    from ray.data.aggregate import Sum
-
     ev = _events(sf_dir, ["event_type", "value"])
 
     def partial(b: pd.DataFrame) -> pd.DataFrame:
@@ -1676,11 +1675,9 @@ def events_share_of_total(sf_dir: str):
              "c": pd.array(g.to_numpy(), "int64")}
         )
 
-    agg = (
-        ev.map_batches(arrow_out(partial), batch_format="pandas")
-        .groupby("event_type").aggregate(Sum("c", alias_name="c"))
-        .to_pandas()  # one row per event type
-    )
+    agg = fold_groups(  # one row per event type
+        ev.map_batches(arrow_out(partial), batch_format="pandas"),
+        ["event_type"], [("c", "sum")])
     total = int(agg["c"].sum())
     return pd.DataFrame(
         {"event_type": pd.array(agg["event_type"], "str"),
@@ -1905,9 +1902,8 @@ def events_chisq(sf_dir: str) -> pd.DataFrame:
     cast each).  Σ chi2_micro over the rows is the statistic.
 
     Shape: per-batch (type, seg) census combiner → one ≤|types|·2-row
-    groupby exchange; marginals and the formula are driver-side exact
+    driver fold; marginals and the formula are driver-side exact
     math on the bounded census."""
-    from ray.data.aggregate import Sum
 
     ev = _events(sf_dir, ["event_type", "user_id"])
 
@@ -1922,12 +1918,9 @@ def events_chisq(sf_dir: str) -> pd.DataFrame:
         out["seg"] = out["seg"].astype("int64")
         return out
 
-    cells = (
-        ev.map_batches(arrow_out(partial), batch_format="pandas")
-        .groupby(["event_type", "seg"])
-        .aggregate(Sum("o", alias_name="o"))
-        .to_pandas()  # bounded: |types| × 2 rows
-    )
+    cells = fold_groups(  # bounded: |types| × 2 rows
+        ev.map_batches(arrow_out(partial), batch_format="pandas"),
+        ["event_type", "seg"], [("o", "sum")])
     r = cells.groupby("event_type")["o"].sum().to_dict()
     c = cells.groupby("seg")["o"].sum().to_dict()
     n = int(cells["o"].sum())
@@ -2262,7 +2255,6 @@ def events_ttest(sf_dir: str):
     import math
 
     import pyarrow.compute as pc
-    from ray.data.aggregate import Sum
 
     from ..functions.arrow import read_parquet_clean
 
@@ -2288,15 +2280,11 @@ def events_ttest(sf_dir: str):
         g["ssq_hi"] = pd.array([v // LIMB for v in vals], "int64")
         return g.drop(columns=["ssq"])
 
-    agg = (
+    agg = fold_groups(  # two rows
         ev.map_batches(arrow_out(partial), batch_format="pandas",
-                       batch_size=16384)
-        .groupby("t")
-        .aggregate(Sum("n", alias_name="n"), Sum("s", alias_name="s"),
-                   Sum("ssq_lo", alias_name="ssq_lo"),
-                   Sum("ssq_hi", alias_name="ssq_hi"))
-        .to_pandas()  # two rows
-    )
+                       batch_size=16384),
+        ["t"], [("n", "sum"), ("s", "sum"), ("ssq_lo", "sum"),
+                ("ssq_hi", "sum")])
     m = {r.t: (int(r.n), int(r.s), int(r.ssq_hi) * LIMB + int(r.ssq_lo))
          for r in agg.itertuples(index=False)}
     n1, s1, ssq1 = m[TTEST_A]
@@ -3134,16 +3122,9 @@ def events_dau_mau(sf_dir: str) -> pd.DataFrame:
                              "dau": pd.array(out_dau, "int64"),
                              "delta": pd.array(out_delta, "int64")})
 
-    from ray.data.aggregate import Sum
-
-    census = (
-        bucketed_group_map(ev, ["user_id"], bucket)
-        .groupby("d").aggregate(Sum("dau", alias_name="dau"),
-                                Sum("delta", alias_name="delta"))
-        .to_pandas()  # ≤ #days + #interval-ends rows — calendar-bounded
-        .sort_values("d")
-        .reset_index(drop=True)
-    )
+    census = fold_groups(  # ≤ #days + #interval-ends rows — calendar-bounded
+        bucketed_group_map(ev, ["user_id"], bucket),
+        ["d"], [("dau", "sum"), ("delta", "sum")])
     d = census["d"].to_numpy("int64")
     dau_in = census["dau"].to_numpy("int64")
     delta_in = census["delta"].to_numpy("int64")
@@ -3201,7 +3182,6 @@ def events_cusum(sf_dir: str) -> pd.DataFrame:
     Shape: one per-(type, day) count combiner feeds a bounded
     types×days census; the prefix scan folds driver-side (the
     `orders_monthly_cumrev` bounded-artifact idiom)."""
-    from ray.data.aggregate import Sum
 
     ev = _events(sf_dir, ["event_type", "ts"])
 
@@ -3216,11 +3196,9 @@ def events_cusum(sf_dir: str) -> pd.DataFrame:
                 .size().rename("n").reset_index()
                 .astype({"d": "int64", "n": "int64"}))
 
-    census = (
-        ev.map_batches(arrow_out(partial), batch_format="pandas")
-        .groupby(["event_type", "d"]).aggregate(Sum("n", alias_name="n"))
-        .to_pandas()  # ≤ |types| × #days rows — calendar-bounded
-    )
+    census = fold_groups(  # ≤ |types| × #days rows — calendar-bounded
+        ev.map_batches(arrow_out(partial), batch_format="pandas"),
+        ["event_type", "d"], [("n", "sum")])
     lo = int(census["d"].min())
     hi = int(census["d"].max())
     n = hi - lo + 1
@@ -3811,7 +3789,6 @@ def events_anova(sf_dir: str) -> pd.DataFrame:
     travel as the standard two int64 limbs, and the F statistic is the
     exact integer ``(ssb·(n−k)·1000) // (ssw·(k−1))`` — arbitrary-int
     Python ≡ DuckDB HUGEINT."""
-    from ray.data.aggregate import Sum
 
     LIMB = 10 ** 15
 
@@ -3835,13 +3812,10 @@ def events_anova(sf_dir: str) -> pd.DataFrame:
              "q_hi": pd.array(q // LIMB, "int64")}
         )
 
-    agg = (
-        ev.map_batches(arrow_out(partial), batch_format="pandas")
-        .groupby("t").aggregate(
-            Sum("n", alias_name="n"), Sum("s", alias_name="s"),
-            Sum("q_lo", alias_name="q_lo"), Sum("q_hi", alias_name="q_hi"))
-        .to_pandas()  # ≤ |types| rows
-    )
+    agg = fold_groups(  # ≤ |types| rows
+        ev.map_batches(arrow_out(partial), batch_format="pandas"),
+        ["t"], [("n", "sum"), ("s", "sum"), ("q_lo", "sum"),
+                ("q_hi", "sum")])
     k = len(agg)
     n = int(agg["n"].sum())
     s_tot = int(agg["s"].sum())
@@ -4894,8 +4868,6 @@ def events_fano(sf_dir: str):
     computes it."""
     import numpy as np
 
-    from ray.data.aggregate import Sum
-
     ev = _events(sf_dir, ["event_type", "ts"])
 
     def partial(b: pd.DataFrame) -> pd.DataFrame:
@@ -4909,9 +4881,9 @@ def events_fano(sf_dir: str):
              ["n"].sum())
         return g.astype({"day": "int64", "n": "int64"})
 
-    cen = (ev.map_batches(arrow_out(partial), batch_format="pandas")
-           .groupby(["event_type", "day"])
-           .aggregate(Sum("n", alias_name="n")).to_pandas())
+    cen = fold_groups(
+        ev.map_batches(arrow_out(partial), batch_format="pandas"),
+        ["event_type", "day"], [("n", "sum")])
     rows = []
     for et, g in cen.groupby("event_type"):
         span = int(g["day"].max() - g["day"].min()) + 1

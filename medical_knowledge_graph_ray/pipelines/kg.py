@@ -30,11 +30,7 @@ from ..sources.pages import generate_pages
 from ..stages.extract import extract_text_batch
 from ..stages.ner import ensemble_batch, memo_stage
 from ..stages.sentences import split_batch
-from ..stages.triples import (
-    clean_mentions_batch,
-    dedup_mentions_batch,
-    emit_triples_batch,
-)
+from ..stages.triples import clean_mentions_batch, dedup_mentions_batch
 from ..state.manifests import (
     read_manifest,
     read_stage,
@@ -49,7 +45,7 @@ from ..state.manifests import (
 # constants capped two-scale efficiency at ~0.5.
 PAGES_PER_SF = {"sf0.001": 500, "sf0.01": 20_000, "sf0.1": 400_000}
 
-# sentences per NER task batch (``EngineConfig.ner_batch_size`` overrides).
+# sentences per NER task batch.
 # The triple set does not depend on it (test_triples_invariant_to_batching),
 # but ``prob`` can move in the last bits (ROADMAP item 9).
 NER_BATCH_SIZE = 2048
@@ -165,10 +161,7 @@ def split_pages(pages):
     )
 
 
-def triples_dataset(
-    pages, *, ner_batch_size: int | None = None, sentence_tee=None,
-    config=None,
-):
+def triples_dataset(pages, *, sentence_tee=None, config=None):
     """pages Dataset → lazy triples Dataset (no checkpoint).
 
     Stage order mirrors the reference lifecycle (SURVEY §3.3): extract →
@@ -181,12 +174,7 @@ def triples_dataset(
     cost a whole extra execution's fixed overhead).
 
     ``config``: an ``EngineConfig`` (gazetteer override, ensemble member
-    registry, ner_on / merging switches, tuning — SURVEY §2.12)."""
-    # explicit arg > config knob > default (the arg default must be None
-    # or the config knob is dead)
-    batch_size = ner_batch_size or (
-        config.ner_batch_size if config and config.ner_batch_size else None
-    ) or NER_BATCH_SIZE
+    registry, ner_on / merging switches, GPU placement — SURVEY §2.12)."""
     sents = split_pages(pages)
     if sentence_tee is not None:
         sents = sents.map_batches(sentence_tee, batch_format="pyarrow")
@@ -203,7 +191,7 @@ def triples_dataset(
         mention_batch,
         fn_kwargs={"config": config},
         batch_format="pyarrow",
-        batch_size=batch_size,
+        batch_size=NER_BATCH_SIZE,
         **gpu_kw,
     )
 
@@ -442,7 +430,7 @@ def run_kg(
     """
     import shutil
 
-    from ..functions.hashing import stable_bucket_vec
+    from ..functions.hashing import block_digest, stable_bucket_vec
 
     fp_base = (
         f"corpus={_corpus_fingerprint(corpus_dir)}|shards={n_shards}"
@@ -466,28 +454,12 @@ def run_kg(
     def _fp_si(i: int) -> str:
         return f"{fp_base}|source_info|shard={i}"
 
-    def _slice_digest(part) -> str:
-        """Block-unique deterministic name component: digest over EVERY
-        (url, sent_ord) in the slice via the vectorized pandas row hash
-        (order-insensitive uint64 sum) — retries of the same block stay
-        idempotent, but two distinct blocks can never collide (first-row
-        + row-count collided in principle, silently dropping rows); a
-        per-row Python md5 loop here cost ~15 s at 5.6M triples."""
-        import hashlib as _hl
-
-        import numpy as np
-        import pandas as _pd
-
-        rh = _pd.util.hash_pandas_object(
-            _pd.DataFrame(
-                {"u": part.column("url").to_pandas(),
-                 "o": part.column("sent_ord").to_pandas()}
-            ),
-            index=False,
-        ).to_numpy()
-        return _hl.md5(
-            f"{part.num_rows}|{int(rh.sum(dtype=np.uint64))}".encode()
-        ).hexdigest()[:16]
+    def _part_name(part) -> str:
+        """Slice file name from the digest of its (url, sent_ord) rows in
+        order: a retried block rewrites its own file, two distinct blocks
+        never share one (a per-row Python md5 loop here cost ~15 s at
+        5.6M triples; the digest reads the Arrow bytes once)."""
+        return "part-" + block_digest(part.select(["url", "sent_ord"])) + ".parquet"
 
     def _shards_of(t):
         """Vectorized url→shard routing: dictionary-encode so each DISTINCT
@@ -557,7 +529,7 @@ def run_kg(
                 part = t.filter(pa.array(shard == i)).sort_by(
                     [("url", "ascending"), ("sent_ord", "ascending")]
                 )
-                fname = "part-" + _slice_digest(part) + ".parquet"
+                fname = _part_name(part)
                 _pq.write_table(part, os.path.join(si_tmp, f"shard_id={i:04d}", fname))
             return t
 
@@ -577,7 +549,7 @@ def run_kg(
                 if i not in tri_todo:
                     continue
                 part = t.filter(pa.array(shard == i))
-                fname = "part-" + _slice_digest(part) + ".parquet"
+                fname = _part_name(part)
                 fpath = os.path.join(tmp, f"shard_id={i:04d}", fname)
                 _pq.write_table(part, fpath)
                 rows.append((i, fname, part.num_rows, os.path.getsize(fpath)))

@@ -13,6 +13,8 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 
+from ..stages.shuffle import fold_groups
+
 
 def train_positions_dataset(corpus_dir: str):
     """pages → materialized (role, f0..f4, tag, sent, pos) positions."""
@@ -143,8 +145,6 @@ def kg_flagship_trained(sf_dir: str, *, out_root: str | None = None):
 
     import pandas as pd
 
-    from ray.data.aggregate import Sum
-
     from ..functions.arrow import arrow_out
     from ..state.manifests import read_stage
     from .kg import corpus_for_sf, run_kg
@@ -167,12 +167,9 @@ def kg_flagship_trained(sf_dir: str, *, out_root: str | None = None):
         out_["n_triples"] = out_["n_triples"].astype("int64")
         return out_
 
-    out_df = (
-        tri.map_batches(arrow_out(census), batch_format="pandas")
-        .groupby(["subj_type", "pred", "obj_type"])
-        .aggregate(Sum("n_triples", alias_name="n_triples"))
-        .to_pandas()  # ≤ types × predicates × types rows
-    )
+    out_df = fold_groups(  # ≤ types × predicates × types rows
+        tri.map_batches(arrow_out(census), batch_format="pandas"),
+        ["subj_type", "pred", "obj_type"], [("n_triples", "sum")])
     out_df["n_triples"] = out_df["n_triples"].astype("int64")
     return out_df.sort_values(
         ["subj_type", "pred", "obj_type"]
@@ -301,8 +298,6 @@ def kg_flagship_neural(sf_dir: str, *, out_root: str | None = None):
     obj_type) census of the neural-ensemble graph."""
     import os
 
-    from ray.data.aggregate import Sum
-
     from ..functions.arrow import arrow_out
     from ..state.manifests import read_stage
     from .kg import corpus_for_sf, run_kg
@@ -325,12 +320,9 @@ def kg_flagship_neural(sf_dir: str, *, out_root: str | None = None):
         out_["n_triples"] = out_["n_triples"].astype("int64")
         return out_
 
-    out_df = (
-        tri.map_batches(arrow_out(census), batch_format="pandas")
-        .groupby(["subj_type", "pred", "obj_type"])
-        .aggregate(Sum("n_triples", alias_name="n_triples"))
-        .to_pandas()
-    )
+    out_df = fold_groups(
+        tri.map_batches(arrow_out(census), batch_format="pandas"),
+        ["subj_type", "pred", "obj_type"], [("n_triples", "sum")])
     out_df["n_triples"] = out_df["n_triples"].astype("int64")
     return out_df.sort_values(
         ["subj_type", "pred", "obj_type"]

@@ -99,8 +99,8 @@ def oracle_triples(n_pages: int) -> pd.DataFrame:
         columns=[
             "subj", "subj_type", "pred", "obj", "obj_type", "prob", "url", "sent_ord",
         ],
-    )
-    # explicit taboo triples dedup per sentence (mirror emit_triples_batch)
+    ).astype({"sent_ord": "int32"})  # TRIPLE_SCHEMA's dtype
+    # explicit taboo triples dedup per sentence (mirror emit_triples_df)
     taboo_mask = df["obj_type"] == "GRP"
     taboo_dedup = df[taboo_mask].drop_duplicates(
         ["url", "sent_ord", "subj", "pred", "obj"]

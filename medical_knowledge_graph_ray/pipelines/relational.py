@@ -22,6 +22,7 @@ import pandas as pd
 import pyarrow.compute as pc
 
 from ..functions.arrow import arrow_out, read_parquet_clean
+from ..stages.shuffle import fold_groups
 
 Q1_CUTOFF = "2001-09-01"
 Q3_SEGMENT = "BUILDING"
@@ -166,18 +167,10 @@ def q1_rollup(sf_dir: str) -> pd.DataFrame:
             .reset_index()
         )
 
-    from ray.data.aggregate import Sum
-
-    base = (
-        li.map_batches(arrow_out(partial), batch_format="pandas")
-        .groupby(["l_returnflag", "l_linestatus"])
-        .aggregate(
-            Sum("qty_c", alias_name="qty_c"),
-            Sum("price_c", alias_name="price_c"),
-            Sum("n", alias_name="n"),
-        )
-        .to_pandas()  # ≤ |returnflag| × |linestatus| rows
-    )
+    base = fold_groups(  # ≤ |returnflag| × |linestatus| rows
+        li.map_batches(arrow_out(partial), batch_format="pandas"),
+        ["l_returnflag", "l_linestatus"],
+        [("qty_c", "sum"), ("price_c", "sum"), ("n", "sum")])
     levels = [base]
     for keep in (["l_returnflag"], []):
         lvl = base.groupby(keep)[["qty_c", "price_c", "n"]].sum().reset_index() \
@@ -1263,8 +1256,6 @@ def q7_nation_volume(sf_dir: str) -> pd.DataFrame:
     import pyarrow as pa
     import ray
 
-    from ray.data.aggregate import Sum
-
     from ..stages.joins import hash_join
 
     nation = _read_dim(sf_dir, "nation", columns=["n_nationkey", "n_name"])
@@ -1384,11 +1375,8 @@ def q7_nation_volume(sf_dir: str) -> pd.DataFrame:
         ),
         bucket_post=pair_rollup,
     )
-    agg = (
-        joined.groupby(["supp_nat", "cust_nat", "l_year"])
-        .aggregate(Sum("rev_c", alias_name="rev_c"))
-        .to_pandas()  # ≤ 2 pairs × years — bounded artifact
-    )
+    agg = fold_groups(  # ≤ 2 pairs × years — bounded artifact
+        joined, ["supp_nat", "cust_nat", "l_year"], [("rev_c", "sum")])
     return pd.DataFrame(
         {
             "supp_nation": agg["supp_nat"].map(name_by_key),
@@ -2103,7 +2091,6 @@ def lineitem_neyman(sf_dir: str):
     import pyarrow as pa
     import pyarrow.compute as pc
     import ray
-    from ray.data.aggregate import Sum
 
     from ..functions.hashing import md5_int_vec
 
@@ -2119,11 +2106,9 @@ def lineitem_neyman(sf_dir: str):
                 .agg(n=("s1", "size"), s1=("s1", "sum"), s2=("s2", "sum"))
                 .reset_index())
 
-    m = (li.map_batches(arrow_out(moment_partial), batch_format="pandas")
-         .groupby("l_returnflag")
-         .aggregate(Sum("n", alias_name="n"), Sum("s1", alias_name="s1"),
-                    Sum("s2", alias_name="s2"))
-         .to_pandas())  # |strata| rows
+    m = fold_groups(  # |strata| rows
+        li.map_batches(arrow_out(moment_partial), batch_format="pandas"),
+        ["l_returnflag"], [("n", "sum"), ("s1", "sum"), ("s2", "sum")])
     s_micro: dict[str, int] = {}
     n_rows: dict[str, int] = {}
     for flag, n, s1, s2 in m[["l_returnflag", "n", "s1", "s2"]].itertuples(
@@ -2162,11 +2147,9 @@ def lineitem_neyman(sf_dir: str):
                 .agg(n_sampled=("q", "size"), qty_sum=("q", "sum"))
                 .reset_index())
 
-    cen = (li.map_batches(arrow_out(sample_partial), batch_format="pandas")
-           .groupby("l_returnflag")
-           .aggregate(Sum("n_sampled", alias_name="n_sampled"),
-                      Sum("qty_sum", alias_name="qty_sum"))
-           .to_pandas())
+    cen = fold_groups(
+        li.map_batches(arrow_out(sample_partial), batch_format="pandas"),
+        ["l_returnflag"], [("n_sampled", "sum"), ("qty_sum", "sum")])
     cen = cen[cen["n_sampled"].to_numpy() > 0]
     flags = cen["l_returnflag"].astype(str)
     out = pd.DataFrame(
@@ -2496,7 +2479,7 @@ def lineitem_spearman(sf_dir: str) -> pd.DataFrame:
     Distributed shape — the joint-value CENSUS is the whole trick: both
     columns have small discrete domains (quantity 1–50, discount 0–10%),
     so a per-batch (x, y)-count combiner collapses the table to ≤ |X|·|Y|
-    cells before ONE tiny groupby exchange; ranks, moments and ρ are
+    cells before ONE driver fold; ranks, moments and ρ are
     driver-side exact-integer math on the census (for continuous columns
     you'd bin first or rank via the range-bucketed global-order path of
     ``docs_global_shuffle``).
@@ -2507,8 +2490,6 @@ def lineitem_spearman(sf_dir: str) -> pd.DataFrame:
     double expression — ``floor`` has no half-even/half-away divergence,
     so the oracle matches bit-for-bit."""
     import math
-
-    from ray.data.aggregate import Sum
 
     li = _read(sf_dir, "lineitem", columns=["l_quantity", "l_discount"])
 
@@ -2523,12 +2504,9 @@ def lineitem_spearman(sf_dir: str) -> pd.DataFrame:
         out["c"] = out["c"].astype("int64")
         return out
 
-    cells = (
-        li.map_batches(arrow_out(partial), batch_format="pandas")
-        .groupby(["x", "y"])
-        .aggregate(Sum("c", alias_name="c"))
-        .to_pandas()
-    )
+    cells = fold_groups(
+        li.map_batches(arrow_out(partial), batch_format="pandas"),
+        ["x", "y"], [("c", "sum")])
 
     def rank2(marginal: pd.Series) -> dict[int, int]:
         m = marginal.sort_index()
@@ -2720,7 +2698,6 @@ def q1_cube(sf_dir: str) -> pd.DataFrame:
     (including the (ALL, status) level ROLLUP lacks) derives from the
     ≤|flag|·|status| bounded detail artifact driver-side; int64 cents
     throughout, one division at the end."""
-    from ray.data.aggregate import Sum
 
     li = _read(
         sf_dir, "lineitem",
@@ -2744,14 +2721,10 @@ def q1_cube(sf_dir: str) -> pd.DataFrame:
             .reset_index()
         )
 
-    base = (
-        li.map_batches(arrow_out(partial), batch_format="pandas")
-        .groupby(["l_returnflag", "l_linestatus"])
-        .aggregate(Sum("qty_c", alias_name="qty_c"),
-                   Sum("price_c", alias_name="price_c"),
-                   Sum("n", alias_name="n"))
-        .to_pandas()  # bounded detail artifact
-    )
+    base = fold_groups(  # bounded detail artifact
+        li.map_batches(arrow_out(partial), batch_format="pandas"),
+        ["l_returnflag", "l_linestatus"],
+        [("qty_c", "sum"), ("price_c", "sum"), ("n", "sum")])
     levels = [base]
     for keep in (["l_returnflag"], ["l_linestatus"], []):
         lvl = (
@@ -3265,12 +3238,8 @@ def q22_global_sales(sf_dir: str):
         ),
         right_schema=pa.schema([("c_custkey", pa.int64())]),
     )
-    out = (
-        j.groupby("cntrycode")
-        .aggregate(Sum("numcust", alias_name="numcust"),
-                   Sum("bal_c", alias_name="bal_c"))
-        .to_pandas()  # bounded: one row per nation
-    )
+    out = fold_groups(  # bounded: one row per nation
+        j, ["cntrycode"], [("numcust", "sum"), ("bal_c", "sum")])
     return pd.DataFrame(
         {"cntrycode": out["cntrycode"].astype("int64"),
          "numcust": out["numcust"].astype("int64"),
@@ -3314,8 +3283,6 @@ def q8_market_share(sf_dir: str) -> pd.DataFrame:
     buckets."""
     import pyarrow as pa
     import ray
-
-    from ray.data.aggregate import Sum
 
     from ..stages.joins import hash_join
 
@@ -3438,11 +3405,8 @@ def q8_market_share(sf_dir: str) -> pd.DataFrame:
              ("nat_c", pa.int64())]
         ),
     )
-    out = (
-        j.groupby("o_year")
-        .aggregate(Sum("all_c", alias_name="all_c"), Sum("nat_c", alias_name="nat_c"))
-        .to_pandas()  # one row per order year
-    )
+    out = fold_groups(  # one row per order year
+        j, ["o_year"], [("all_c", "sum"), ("nat_c", "sum")])
     return pd.DataFrame(
         {"o_year": out["o_year"].astype("int64"),
          "mkt_share": [
@@ -3738,8 +3702,6 @@ def q16_brand_suppliers(sf_dir: str) -> pd.DataFrame:
     import pyarrow as pa
     import ray
 
-    from ray.data.aggregate import Sum
-
     from ..functions.arrow import arrow_out
     from ..stages.joins import hash_join
     from ..stages.shuffle import bucketed_group_map
@@ -3797,14 +3759,11 @@ def q16_brand_suppliers(sf_dir: str) -> pd.DataFrame:
         out["p_size"] = out["p_size"].astype("int32")
         return out
 
-    counts = (
+    counts = fold_groups(  # ≤ brands × sizes rows
         bucketed_group_map(
             joined, ["p_brand", "p_size", "l_suppkey"], count_partial,
-        )
-        .groupby(["p_brand", "p_size"])
-        .aggregate(Sum("supplier_cnt", alias_name="supplier_cnt"))
-        .to_pandas()  # ≤ brands × sizes rows
-    )
+        ),
+        ["p_brand", "p_size"], [("supplier_cnt", "sum")])
     counts["supplier_cnt"] = counts["supplier_cnt"].astype("int64")
     counts["p_size"] = counts["p_size"].astype("int32")
     return counts.sort_values(
@@ -3841,10 +3800,8 @@ def q12_priority_lines(sf_dir: str) -> pd.DataFrame:
     inside ``map_batches`` (a combiner — the join exchange carries at
     most one row per key per batch, never raw line items); orders ship
     only an int64 is-high indicator; ``bucket_post`` collapses each join
-    bucket to ≤ |flags| partial rows, so the final exchange is tiny."""
+    bucket to ≤ |flags| partial rows, so the driver folds the result."""
     import pyarrow as pa
-
-    from ray.data.aggregate import Sum
 
     from ..stages.joins import hash_join
 
@@ -3899,14 +3856,9 @@ def q12_priority_lines(sf_dir: str) -> pd.DataFrame:
         ),
         bucket_post=flag_partial,
     )
-    out = (
-        j.groupby("l_returnflag")
-        .aggregate(
-            Sum("high_line_count", alias_name="high_line_count"),
-            Sum("low_line_count", alias_name="low_line_count"),
-        )
-        .to_pandas()  # ≤ |flags| rows
-    )
+    out = fold_groups(  # ≤ |flags| rows
+        j, ["l_returnflag"],
+        [("high_line_count", "sum"), ("low_line_count", "sum")])
     out["high_line_count"] = out["high_line_count"].astype("int64")
     out["low_line_count"] = out["low_line_count"].astype("int64")
     return out.sort_values("l_returnflag").reset_index(drop=True)
@@ -5753,15 +5705,13 @@ def orders_runs_test(sf_dir: str):
     z = (R − μ)/σ, μ = 2n₊n₋/n + 1, σ² = 2n₊n₋(2n₊n₋−n)/(n²(n−1)).
 
     Exactness: daily revenue is an exact cent census (two-phase
-    combiner, ONE exchange on the day key); the pivot is the
+    combiner, folded on the driver by day); the pivot is the
     LOWER-MEDIAN ELEMENT (rank (n+1)//2, a real data point — no
     interpolation), tie days (== pivot) are dropped per the classic
     test, and R, n₊, n₋ are pure integers, so the single z expression
     is mirrored term-for-term on identical doubles.  The day census is
     a bounded artifact (≤ #days rows) — finalize runs driver-side."""
     import math
-
-    from ..stages.shuffle import bucketed_group_map
 
     orders = _read(sf_dir, "orders", columns=["o_orderdate", "o_totalprice"])
 
@@ -5772,14 +5722,9 @@ def orders_runs_test(sf_dir: str):
             .groupby("day", sort=False, as_index=False)["c"].sum()
         )
 
-    census = bucketed_group_map(
+    daily = fold_groups(  # ≤ #days rows
         orders.map_batches(arrow_out(partial), batch_format="pandas"),
-        ["day"],
-        lambda g: g.groupby("day", sort=False, as_index=False)["c"].sum(),
-    ).to_pandas()  # ≤ #days rows
-
-    daily = census.groupby("day", as_index=False)["c"].sum() \
-                  .sort_values("day").reset_index(drop=True)
+        ["day"], [("c", "sum")])
     rev = daily["c"].to_numpy("int64")
     nd = len(rev)
     pivot = int(np.sort(rev)[(nd + 1) // 2 - 1])
@@ -5961,8 +5906,7 @@ def orders_seasonal_decompose(sf_dir: str):
     ×7" units) and the per-weekday mean is ONE mirrored double division
     Σ(7c−T)/(7n).  Edge days (incomplete window) drop on both sides
     (the SQL counts frame rows).  The day census is the distributed
-    part (one exchange); the ≤7-row finalize is driver-side."""
-    from ..stages.shuffle import bucketed_group_map
+    part (one pass, folded on the driver); the ≤7-row finalize is driver-side."""
 
     orders = _read(sf_dir, "orders", columns=["o_orderdate", "o_totalprice"])
 
@@ -5973,14 +5917,9 @@ def orders_seasonal_decompose(sf_dir: str):
             .groupby("day", sort=False, as_index=False)["c"].sum()
         )
 
-    census = bucketed_group_map(
+    daily = fold_groups(  # ≤ #days rows
         orders.map_batches(arrow_out(partial), batch_format="pandas"),
-        ["day"],
-        lambda g: g.groupby("day", sort=False, as_index=False)["c"].sum(),
-    ).to_pandas()  # ≤ #days rows
-
-    daily = census.groupby("day", as_index=False)["c"].sum() \
-                  .sort_values("day").reset_index(drop=True)
+        ["day"], [("c", "sum")])
     c = daily["c"].to_numpy("int64")
     nd = len(c)
     # centered 7-day rolling sum, full windows only (positions 3..nd-4)
@@ -6251,7 +6190,6 @@ def lineitem_zorder_scan(sf_dir: str) -> pd.DataFrame:
     never change the answer.  The Delta/Iceberg OPTIMIZE-ZORDER serve
     path on the engine's own index machinery."""
     import pyarrow.compute as pc
-    from ray.data.aggregate import Sum
 
     from ..stages.zonemap import load_zonemap
     from ..stages.zorder import prune_files_by_ranges, z_ranges_for_rect
@@ -6287,11 +6225,9 @@ def lineitem_zorder_scan(sf_dir: str) -> pd.DataFrame:
              .groupby("suppkey", sort=False, as_index=False).sum())
         return g.astype("int64")
 
-    agg = (ds.map_batches(arrow_out(partial), batch_format="pandas")
-           .groupby("suppkey")
-           .aggregate(Sum("n", alias_name="n"), Sum("q", alias_name="q"),
-                      Sum("c", alias_name="c"))
-           .to_pandas())  # <= #suppliers-in-range rows
+    agg = fold_groups(  # <= #suppliers-in-range rows
+        ds.map_batches(arrow_out(partial), batch_format="pandas"),
+        ["suppkey"], [("n", "sum"), ("q", "sum"), ("c", "sum")])
     if not len(agg):
         return empty
     return (pd.DataFrame({"suppkey": agg["suppkey"].astype("int64"),
@@ -7788,12 +7724,11 @@ def supplier_value_share(sf_dir: str) -> pd.DataFrame:
     re-keyed to the tables this lake has.
 
     ONE lineitem pass: per-batch (suppkey → value) int64 combiner →
-    tiny suppkey census exchange; the supplier→nation dimension is a
+    suppkey census folded on the driver; the supplier→nation dimension is a
     broadcast (|suppliers| rows); nation totals and the share filter
     are driver math on the |suppliers|-bounded census.  Value is exact
     cents of extendedprice·(1−discount)·100 (two-decimal discount ⇒
     ·10⁴ then /100 is exact integer)."""
-    from ray.data.aggregate import Sum
 
     sup = _read_dim(sf_dir, "supplier")
     nat = dict(zip(sup["s_suppkey"].astype("int64"),
@@ -7811,9 +7746,9 @@ def supplier_value_share(sf_dir: str) -> pd.DataFrame:
              .groupby("suppkey", sort=False, as_index=False)["u"].sum())
         return g.astype("int64")
 
-    census = (ds.map_batches(arrow_out(partial), batch_format="pandas")
-              .groupby("suppkey").aggregate(Sum("u", alias_name="u"))
-              .to_pandas())  # ≤ |suppliers| rows
+    census = fold_groups(  # ≤ |suppliers| rows
+        ds.map_batches(arrow_out(partial), batch_format="pandas"),
+        ["suppkey"], [("u", "sum")])
     census["nationkey"] = census["suppkey"].map(nat).astype("int64")
     totals = census.groupby("nationkey")["u"].sum()
     thresh = census["nationkey"].map(totals).to_numpy("int64")
@@ -8071,11 +8006,10 @@ def customers_ldiversity(sf_dir: str) -> pd.DataFrame:
     negative / low / high) takes ≥ l distinct values, or one
     re-identified row leaks the sensitive value outright.
 
-    Per-batch (qi-group, class) int64 census partials → one tiny
-    bounded exchange (≤ nations·segments·3 rows) → driver
+    Per-batch (qi-group, class) int64 census partials → one bounded
+    driver fold (≤ nations·segments·3 rows) → driver
     distinct-class fold.  Emits every group with its size, class
     diversity, and the l=2 / l=3 safety flags."""
-    from ray.data.aggregate import Sum
 
     ds = _read(sf_dir, "customer",
                columns=["c_nationkey", "c_mktsegment", "c_acctbal"])
@@ -8091,9 +8025,9 @@ def customers_ldiversity(sf_dir: str) -> pd.DataFrame:
         return g.astype({"nationkey": "int64", "bal_class": "int64",
                          "n": "int64"})
 
-    agg = (ds.map_batches(arrow_out(partial), batch_format="pandas")
-           .groupby(["nationkey", "mktsegment", "bal_class"])
-           .aggregate(Sum("n", alias_name="n")).to_pandas())
+    agg = fold_groups(
+        ds.map_batches(arrow_out(partial), batch_format="pandas"),
+        ["nationkey", "mktsegment", "bal_class"], [("n", "sum")])
     out = (agg.groupby(["nationkey", "mktsegment"])
            .agg(group_size=("n", "sum"), l_diversity=("bal_class", "nunique"))
            .reset_index())
@@ -8136,8 +8070,6 @@ def supplier_lead_time(sf_dir: str) -> pd.DataFrame:
     the single mirrored float path, floor-micro."""
     import pyarrow as pa
 
-    from ray.data.aggregate import Max, Sum
-
     from ..stages.joins import hash_join
 
     orders = _read(sf_dir, "orders", columns=["o_orderkey", "o_orderdate"])
@@ -8174,11 +8106,9 @@ def supplier_lead_time(sf_dir: str) -> pd.DataFrame:
         orders.map_batches(arrow_out(o_prep), batch_format="pandas"),
         on=["l_orderkey"], left_schema=lschema, right_schema=oschema,
         bucket_post=supp_partial)
-    agg = (parts.groupby("suppkey")
-           .aggregate(Sum("n", alias_name="n"),
-                      Sum("sum_days", alias_name="sum_days"),
-                      Max("max_days", alias_name="max_days"))
-           .to_pandas())  # ≤ |suppliers| rows
+    agg = fold_groups(  # ≤ |suppliers| rows
+        parts, ["suppkey"],
+        [("n", "sum"), ("sum_days", "sum"), ("max_days", "max")])
     mean = agg["sum_days"].to_numpy("float64") / agg["n"].to_numpy("float64")
     out = pd.DataFrame(
         {"suppkey": agg["suppkey"].astype("int64"),
@@ -8218,8 +8148,6 @@ def orders_lineitem_mergejoin(sf_dir: str) -> pd.DataFrame:
     import pyarrow as pa
     import pyarrow.parquet as pq
 
-    from ray.data.aggregate import Sum
-
     from ..stages.joins import merge_join
 
     f = pq.ParquetFile(f"{sf_dir}/orders.parquet")
@@ -8258,9 +8186,8 @@ def orders_lineitem_mergejoin(sf_dir: str) -> pd.DataFrame:
     parts = merge_join(li, orders, "l_orderkey", key_range=(lo, hi),
                        left_schema=lschema, right_schema=oschema,
                        bucket_post=post)
-    agg = (parts.groupby("status")
-           .aggregate(Sum("n_lines", alias_name="n_lines"),
-                      Sum("rev_u", alias_name="rev_u")).to_pandas())
+    agg = fold_groups(parts, ["status"],
+                      [("n_lines", "sum"), ("rev_u", "sum")])
     return (pd.DataFrame({"status": pd.array(agg["status"], "str"),
                           "n_lines": agg["n_lines"].astype("int64"),
                           "rev_u": agg["rev_u"].astype("int64")})
@@ -8285,11 +8212,10 @@ def lineitem_kendall(sf_dir: str) -> pd.DataFrame:
     concordant/discordant-pair sibling of ``lineitem_spearman``, off the
     same trick: both columns have small discrete domains, so a per-batch
     (x, y)-count combiner collapses the table to ≤|X|·|Y| cells before
-    ONE tiny exchange, and ALL pair counting is exact integer math over
+    ONE driver fold, and ALL pair counting is exact integer math over
     census cells (concordant/discordant/ties via cell-pair products —
     never row pairs).  τ-b's denominator is the only float arithmetic:
     one sqrt over exact ints, mirrored, floor-micro."""
-    from ray.data.aggregate import Sum
 
     ds = _read(sf_dir, "lineitem", columns=["l_quantity", "l_discount"])
 
@@ -8300,9 +8226,9 @@ def lineitem_kendall(sf_dir: str) -> pd.DataFrame:
              .groupby(["x", "y"], sort=False, as_index=False)["n"].sum())
         return g.astype("int64")
 
-    cen = (ds.map_batches(arrow_out(partial), batch_format="pandas")
-           .groupby(["x", "y"]).aggregate(Sum("n", alias_name="n"))
-           .to_pandas())
+    cen = fold_groups(
+        ds.map_batches(arrow_out(partial), batch_format="pandas"),
+        ["x", "y"], [("n", "sum")])
     x = cen["x"].to_numpy("int64")
     y = cen["y"].to_numpy("int64")
     c = cen["n"].to_numpy("int64")

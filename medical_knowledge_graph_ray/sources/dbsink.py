@@ -24,20 +24,14 @@ shards).
 
 from __future__ import annotations
 
-import hashlib
 import time
 
 import pandas as pd
+import pyarrow as pa
+
+from ..functions.hashing import block_digest
 
 _LEDGER = "_mkg_slices"
-
-
-def _slice_digest(b: pd.DataFrame) -> str:
-    """Content digest of one block: md5 over its per-row hashes IN ROW
-    ORDER, so a retry of the same block matches and a block holding the
-    same rows in another order does not."""
-    h = pd.util.hash_pandas_object(b, index=False).to_numpy()
-    return hashlib.md5(h.tobytes()).hexdigest()[:16]
 
 
 def _sqlite_connect(db_path: str, *, init: bool = False):
@@ -108,7 +102,7 @@ def write_sql_table(
                "slices": pd.array([0], "int64")}
         if not len(b):
             return pd.DataFrame(out)
-        digest = _slice_digest(b)
+        digest = block_digest(pa.Table.from_pandas(b, preserve_index=False))
         for attempt in range(max_retries):
             con = connect_fn()
             try:

@@ -181,15 +181,6 @@ def confidence_rules_df(df: pd.DataFrame) -> pd.DataFrame:
     return df
 
 
-def confidence_rules_batch(batch):
-    """Arrow/pandas map_batches wrapper for O15."""
-    import pyarrow as pa
-
-    df = batch.to_pandas() if isinstance(batch, pa.Table) else batch
-    out = confidence_rules_df(df)
-    return pa.Table.from_pandas(out, preserve_index=False).replace_schema_metadata(None)
-
-
 # -- O16: taboo relation classification --------------------------------------
 
 def classify_taboo(sentence: str) -> str | None:

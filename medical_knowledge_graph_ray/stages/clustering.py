@@ -6,14 +6,14 @@ dedup, mixture curation, or IVF index builds).  Built Ray-Data-first:
 every Lloyd iteration is ONE streaming pass over the dataset — centroids
 broadcast via ``ray.put``, per-batch partial sums computed in EXACT int64
 fixed point (``rint(unit_vec · 10^6)`` per element), a k×(dim+2)-bounded
-``groupby.aggregate(Sum...)`` exchange, and a driver-side centroid update
-on the k-row result.  The fixed-point contract makes the fit
+``fold_groups`` sum on the driver, and a driver-side centroid update on
+the k-row result.  The fixed-point contract makes the fit
 BIT-IDENTICAL at any parallelism or batch boundary (float partial sums
 would vary with block splits); ``mode='dense'`` runs the same math in one
 driver-side numpy pass and is pinned ≡ to the distributed path by tests.
 
-Scale shape: per iteration the exchange carries ≤ k rows per input batch
-(the batch-local combiner IS the groupby payload), so the shuffle is
+Scale shape: per iteration the driver receives ≤ k rows per input batch
+(the batch-local combiner IS the fold's input), so the fold is
 O(num_batches · k), never O(rows); ``iters`` full scans are the textbook
 k-means cost — bound it and feed a raw column-pruned read (each pass
 re-executes the input plan).
@@ -25,6 +25,7 @@ import numpy as np
 import pandas as pd
 
 from ..functions.arrow import arrow_out
+from .shuffle import fold_groups
 
 FP_SCALE = 1_000_000
 _SEED = 777
@@ -131,8 +132,6 @@ def kmeans_fit(
     Both paths produce BIT-IDENTICAL centroids (pinned by tests)."""
     import ray
 
-    from ray.data.aggregate import Sum
-
     cent = kmeans_init(embeddings, k, vec_col=vec_col, id_col=id_col)
     dim = cent.shape[1]
     scols = _sum_cols(dim)
@@ -155,15 +154,9 @@ def kmeans_fit(
     proj = embeddings.select_columns([vec_col])
     for _ in range(iters):
         partial = _iterate_partials(cent)
-        agg = (
-            proj.map_batches(arrow_out(partial), batch_format="pandas")
-            .groupby("cluster")
-            .aggregate(
-                Sum("n", alias_name="n"),
-                *[Sum(c, alias_name=c) for c in scols],
-            )
-            .to_pandas()  # ≤ k rows — bounded artifact
-        )
+        agg = fold_groups(  # ≤ k rows — bounded artifact
+            proj.map_batches(arrow_out(partial), batch_format="pandas"),
+            ["cluster"], [(c, "sum") for c in ["n", *scols]])
         cent = _update(cent, agg)
     return cent
 
@@ -341,8 +334,8 @@ def dbscan(embeddings, *, eps_cos: float, min_pts: int, n_chunks: int = 8,
     Decomposition: DBSCAN is exactly (1) the eps-neighbor graph —
     `similarity.py:neardup_pairs_chunked`, the EXACT all-pairs
     chunk-replicated self-join (cos ≥ eps_cos ≡ a euclidean ball on
-    unit vectors); (2) a symmetric degree census (ONE bucketed
-    exchange) deciding core points (closed-neighborhood ≥ min_pts);
+    unit vectors); (2) a symmetric degree census (folded on the
+    driver) deciding core points (closed-neighborhood ≥ min_pts);
     (3) connected components of the core-core subgraph
     (`components.py:connected_components`, min-id labels); (4) border
     attachment = per-border MIN over adjacent core labels (a second
@@ -370,17 +363,12 @@ def dbscan(embeddings, *, eps_cos: float, min_pts: int, n_chunks: int = 8,
         return pd.DataFrame({"v": pd.array(out.index, "int64"),
                              "deg": pd.array(out.to_numpy(), "int64")})
 
-    deg = bucketed_group_map(
+    deg = fold_groups(  # node-cardinality artifact
         pairs.map_batches(arrow_out(deg_partial), batch_format="pandas"),
-        ["v"],
-        lambda g: g.groupby("v", sort=False, as_index=False)["deg"].sum(),
-        num_buckets=num_buckets,
-    ).to_pandas()  # node-cardinality artifact
-    core: set[int] = (
-        set(deg.loc[deg["deg"].to_numpy("int64") + 1 >= min_pts, "v"]
-            .astype("int64").tolist())
-        if "v" in deg.columns else set()
-    )
+        ["v"], [("deg", "sum")])
+    core: set[int] = set(
+        deg.loc[deg["deg"].to_numpy("int64") + 1 >= min_pts, "v"]
+        .astype("int64").tolist())
     core_ref = ray.put(core)
 
     def core_edges(b: pd.DataFrame) -> pd.DataFrame:

@@ -33,7 +33,7 @@ import pyarrow as pa
 
 from ..functions.arrow import arrow_out
 from .joins import hash_join
-from .shuffle import bucketed_group_map
+from .shuffle import bucketed_group_map, fold_groups
 
 _EDGE_SCHEMA = pa.schema(
     [("src", pa.int64()), ("dst", pa.int64()), ("w", pa.float64())]
@@ -557,7 +557,6 @@ def k_core_nodes(
     src_col: str = "src",
     dst_col: str = "dst",
     *,
-    num_buckets: int = 16,
     mode: str = "auto",
     dense_edge_bound: int = 4_000_000,
 ):
@@ -568,12 +567,12 @@ def k_core_nodes(
     answer (confluence) — that's what makes the distributed and dense
     paths provably agree.
 
-    BSP peeling (``mode='bsp'``): each round runs ONE bucketed degree
-    census over the surviving edge set (removed nodes are a broadcast
-    set; the census itself is the node-cardinality artifact this engine
-    collects driver-side, same posture as ``triangle_counts``'s rank
-    map — for unbounded node sets the removal set becomes a semi-join
-    against a distributed node table, same exchange shape), drops every
+    BSP peeling (``mode='bsp'``): each round runs ONE degree census
+    over the surviving edge set, folded on the driver (removed nodes are
+    a broadcast set; the census is the node-cardinality artifact this
+    engine collects driver-side, same posture as ``triangle_counts``'s
+    rank map — for unbounded node sets the removal set becomes a
+    semi-join against a distributed node table), drops every
     node under ``k``, repeats to fixpoint.  Rounds are bounded by the
     peeling depth (≤ node count; tiny in practice — each round removes
     a whole "shell").
@@ -599,11 +598,7 @@ def k_core_nodes(
     if mode == "dense" or (mode == "auto" and n_dir <= 2 * dense_edge_bound):
         return k_core_dense(adj.to_pandas(), k, "u", "v")
 
-    from .shuffle import bucketed_group_map
-
     removed: set = set()
-    deg = pd.DataFrame({"u": pd.Series(dtype=object),
-                        "d": pd.Series(dtype="int64")})
     while True:
         rm_ref = ray.put(removed)
 
@@ -615,21 +610,14 @@ def k_core_nodes(
             out["d"] = out["d"].astype("int64")
             return out
 
-        deg = bucketed_group_map(
+        deg = fold_groups(  # node-cardinality artifact
             adj.map_batches(arrow_out(deg_partial), batch_format="pandas"),
-            ["u"],
-            lambda g: g.groupby("u", sort=False, as_index=False)["d"].sum(),
-            num_buckets=num_buckets,
-        ).to_pandas()  # node-cardinality artifact
-        if "d" not in deg.columns:  # zero-block to_pandas drops schema
-            deg = pd.DataFrame({"u": pd.Series(dtype=object),
-                                "d": pd.Series(dtype="int64")})
+            ["u"], [("d", "sum")])
         bad = set(deg.loc[deg["d"] < k, "u"])
         if not bad:
             break
         removed |= bad
-    return deg.rename(columns={"u": "node", "d": "core_deg"}).sort_values(
-        "node").reset_index(drop=True)
+    return deg.rename(columns={"u": "node", "d": "core_deg"})
 
 
 def k_core_dense(adj: pd.DataFrame, k: int, u: str = "u", v: str = "v"

@@ -28,6 +28,8 @@ import math
 import numpy as np
 import pandas as pd
 
+from .shuffle import fold_groups
+
 B, M, E, S = 0, 1, 2, 3
 _NEG = -(10 ** 12)          # forbidden-path sentinel (micro-nats)
 
@@ -102,7 +104,6 @@ def train_hmm_segmenter(sentences, gazetteer: dict[str, str]) -> dict:
     tables.  The float→micro-nat conversion happens ONCE driver-side on
     the exact global counts, so the params are independent of how the
     corpus was batched."""
-    from ray.data.aggregate import Sum
 
     from ..functions.arrow import arrow_out
 
@@ -110,8 +111,7 @@ def train_hmm_segmenter(sentences, gazetteer: dict[str, str]) -> dict:
         arrow_out(lambda b: hmm_census_batch(b, gazetteer)),
         batch_format="pandas",
     )
-    agg = (parts.groupby(["kind", "a", "b"])
-           .aggregate(Sum("n", alias_name="n")).to_pandas())
+    agg = fold_groups(parts, ["kind", "a", "b"], [("n", "sum")])
     tr = np.zeros((4, 4), dtype=np.int64)
     t = agg[agg["kind"] == 0]
     tr[t["a"].to_numpy(), t["b"].to_numpy()] = t["n"].to_numpy()

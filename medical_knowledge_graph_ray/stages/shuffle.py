@@ -19,6 +19,10 @@ hash-join pattern) is:
 Skew note: a coarse bucket holds many keys, so one hot key cannot
 overload a bucket beyond its own row count; pre-combining partials
 upstream (the engine's standard two-phase shape) bounds even that.
+
+A census whose result comes back to the driver anyway skips the
+exchange altogether: ``fold_groups`` streams the per-block partials to
+the driver and regroups them in Arrow as they arrive.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ from __future__ import annotations
 from collections.abc import Callable
 
 import pandas as pd
+import pyarrow as pa
 
 from ..functions.arrow import arrow_out
 
@@ -58,6 +63,49 @@ def add_bucket(batch: pd.DataFrame, keys: list[str], num_buckets: int) -> pd.Dat
     batch = batch.copy()
     batch[BUCKET_COL] = (h % num_buckets).astype("int32")
     return batch
+
+
+def fold_groups(ds, keys: list[str], aggs: list[tuple[str, str]]) -> pd.DataFrame:
+    """Driver-side fold of a group-by census whose result the caller
+    collects: ``aggs`` is ``[(col, "sum" | "max")]`` and each output
+    column keeps its input name.  Each block of ``ds`` (normally
+    per-block partials of the same keys) is grouped with
+    ``pa.Table.group_by`` as it arrives and merged into the running
+    result, so the driver holds the result plus one block and the plan
+    has no all-to-all operator.  Arrow groups on bytes, so string keys
+    that differ only after a NUL stay apart.
+
+    The frame matches what ``ds.groupby(keys).aggregate(...).to_pandas()``
+    returns: sorted by the keys (nulls last), narrow integer key and value
+    columns widened to int64 and float ones to float64.  An empty
+    ``ds`` gives an empty frame typed from the Dataset's schema."""
+    names = [f"{c}_{f}" for c, f in aggs]
+    cols = [c for c, _ in aggs]
+
+    def group(t: pa.Table) -> pa.Table:
+        g = t.group_by(keys, use_threads=False).aggregate(aggs)
+        return g.select(keys + names).rename_columns(keys + cols)
+
+    def widen(t: pa.Table) -> pa.Table:
+        for k in keys + cols:
+            i, typ = t.schema.get_field_index(k), t.schema.field(k).type
+            if pa.types.is_integer(typ) and typ.bit_width < 64:
+                t = t.set_column(i, k, t[k].cast(pa.int64()))
+            elif pa.types.is_floating(typ) and typ.bit_width < 64:
+                t = t.set_column(i, k, t[k].cast(pa.float64()))
+        return t
+
+    acc = None
+    for block in ds.iter_batches(batch_size=None, batch_format="pyarrow"):
+        part = group(widen(block))
+        acc = part if acc is None else group(
+            pa.concat_tables([acc, part], promote_options="permissive"))
+    if acc is None:  # no block arrived: type the empty frame from the schema
+        schema = getattr(ds.schema(), "base_schema", None)
+        if not isinstance(schema, pa.Schema):
+            return pd.DataFrame(columns=keys + cols)
+        acc = group(widen(schema.empty_table()))
+    return acc.sort_by([(k, "ascending") for k in keys]).to_pandas()
 
 
 def first_non_null_agg(

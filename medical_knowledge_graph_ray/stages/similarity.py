@@ -79,20 +79,6 @@ def _planes(dim: int) -> np.ndarray:
     return rng.standard_normal((N_PLANES, dim))
 
 
-def lsh_signature_batch(batch: pd.DataFrame) -> pd.DataFrame:
-    """Add an N_PLANES-bit hyperplane-sign bucket id per vector
-    (N_PLANES=6 → 64 buckets)."""
-    if not len(batch):
-        return pd.DataFrame(
-            {"vec_id": pd.array([], "int64"), "bucket": pd.array([], "int64")}
-        )
-    mat = _to_matrix(batch["embedding"])
-    planes = _planes(mat.shape[1])
-    bits = (mat @ planes.T) > 0
-    bucket = bits @ (1 << np.arange(N_PLANES, dtype=np.int64))
-    return pd.DataFrame({"vec_id": batch["vec_id"], "bucket": bucket})
-
-
 def knn_cosine_lsh(embeddings, query: np.ndarray, k: int = 10, *, probe_bits: int = 1):
     """Scale path: multi-probe the query's LSH bucket plus every bucket
     within Hamming distance ``probe_bits`` of it (standard multi-probe

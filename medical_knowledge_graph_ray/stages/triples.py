@@ -109,7 +109,7 @@ def dedup_mentions_batch(batch: pa.Table) -> pa.Table:
     ).replace_schema_metadata(None)
 
 
-def emit_triples_batch(batch: pa.Table) -> pa.Table:
+def emit_triples_df(df: pd.DataFrame) -> pd.DataFrame:
     """Deduped mention rows → triple rows.
 
     * implicit triples: (head entity, paragraph/relation, mention) — the
@@ -119,14 +119,6 @@ def emit_triples_batch(batch: pa.Table) -> pa.Table:
       (drug, 禁用人群/慎用人群, group) with obj_type GRP, deduplicated per
       sentence.
     """
-    return pa.Table.from_pandas(
-        emit_triples_df(batch.to_pandas()), schema=TRIPLE_SCHEMA,
-        preserve_index=False,
-    ).replace_schema_metadata(None)
-
-
-def emit_triples_df(df: pd.DataFrame) -> pd.DataFrame:
-    """pandas core of :func:`emit_triples_batch`."""
     from .cleansing import classify_taboo, taboo_group
 
     out = pd.DataFrame(

@@ -72,7 +72,7 @@ def test_mention_batch_memo_keys_on_config():
     assert not got.equals(default)
 
     stage, keys = _STAGES["mention", "default"], set(_STAGES)
-    tuned = mention_batch(batch, config=EngineConfig(ner_batch_size=9999))
+    tuned = mention_batch(batch, config=EngineConfig(ner_num_gpus=0.5))
     assert set(_STAGES) == keys and _STAGES["mention", "default"] is stage
     assert tuned.equals(default)
 
@@ -85,14 +85,16 @@ def test_config_from_file_json(tmp_path):
         "gazetteer": str(gaz_path),
         "prediction_models": ["a", "b"],
         "merging": False,
-        "ner_concurrency": [2, 4],  # a removed knob: kept as an extra
+        "ner_concurrency": [2, 4],  # removed knobs: kept as extras
+        "ner_batch_size": 512,
         "custom_knob": 7,
     }))
     cfg = EngineConfig.from_file(str(cfg_path))
     assert cfg.gazetteer == {"发热": "SYM"}
     assert cfg.prediction_models == ("a", "b")
     assert cfg.merging is False and cfg.ner_on is True
-    assert cfg.extras == {"ner_concurrency": [2, 4], "custom_knob": 7}
+    assert cfg.extras == {"ner_concurrency": [2, 4], "ner_batch_size": 512,
+                          "custom_knob": 7}
 
 
 def test_config_fingerprint_semantics():
@@ -100,7 +102,7 @@ def test_config_fingerprint_semantics():
     a = _config_fingerprint(EngineConfig())
     assert a != _config_fingerprint(EngineConfig(ner_on=False))
     assert a != _config_fingerprint(EngineConfig(prediction_models=("a",)))
-    assert a == _config_fingerprint(EngineConfig(ner_batch_size=9999))
+    assert a == _config_fingerprint(EngineConfig(ner_num_gpus=0.5))
     assert _config_fingerprint(None) == "default"
 
 

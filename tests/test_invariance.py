@@ -2,17 +2,20 @@
 size / block structure (SURVEY §4 Ordering — the whole point
 of content-stable keys and batch-local semantics)."""
 
+from unittest import mock
+
 import pandas as pd
 import pytest
 
 
 def _triples(corpus, batch_size, blocks=None):
-    from medical_knowledge_graph_ray.pipelines.kg import pages_dataset, triples_dataset
+    from medical_knowledge_graph_ray.pipelines import kg
 
-    pages = pages_dataset(corpus)
+    pages = kg.pages_dataset(corpus)
     if blocks:
         pages = pages.repartition(blocks)
-    ds = triples_dataset(pages, ner_batch_size=batch_size)
+    with mock.patch.object(kg, "NER_BATCH_SIZE", batch_size):
+        ds = kg.triples_dataset(pages)
     df = ds.to_pandas()
     return (
         df.sort_values(["url", "sent_ord", "pred", "obj", "obj_type"], kind="mergesort")

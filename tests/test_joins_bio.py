@@ -654,6 +654,14 @@ def test_sql_sink_tells_reordered_blocks_from_retries(ray_session, tmp_path):
     assert m2 == {"rows": 0, "slices": 0}
     back = read_sql_table("t", db_path=db)
     assert sorted(back["k"]) == [1, 1, 2, 2, 3, 3]
+    # names that differ only after a NUL: both blocks land, a re-sent
+    # block lands nothing
+    nul_a = pd.DataFrame({"k": [0, 0], "name": ["x\x00a", "x\x00b"]})
+    nul_b = pd.DataFrame({"k": [0, 0], "name": ["x\x00a", "x\x00c"]})
+    m3 = write_sql_table(rd.from_pandas([nul_a, nul_b]), "t", db_path=db)
+    assert m3 == {"rows": 4, "slices": 2}
+    m4 = write_sql_table(rd.from_pandas([nul_b]), "t", db_path=db)
+    assert m4 == {"rows": 0, "slices": 0}
 
 
 def test_merge_join_equals_hash_join(ray_session):

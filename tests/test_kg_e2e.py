@@ -20,9 +20,13 @@ from medical_knowledge_graph_ray.pipelines.oracle import (
 N_PAGES = 120
 
 
+TRIPLE_COLS = ["subj", "subj_type", "pred", "obj", "obj_type", "prob", "url",
+               "sent_ord"]
+
+
 def _triple_key(df: pd.DataFrame) -> set:
     return {
-        (r.subj, r.pred, r.obj, r.obj_type, r.url, r.sent_ord, round(r.prob, 9))
+        (r.subj, r.pred, r.obj, r.obj_type, r.url, r.sent_ord, r.prob)
         for r in df.itertuples()
     }
 
@@ -52,6 +56,12 @@ def test_triples_match_oracle_exactly(kg_run):
         f"recall={1 - len(missing) / max(1, len(want_k)):.4f} "
         f"missing={list(missing)[:3]} extra={list(extra)[:3]}"
     )
+    # bit-exact on every column, dtypes included
+    pd.testing.assert_frame_equal(
+        got[TRIPLE_COLS].sort_values(TRIPLE_COLS).reset_index(drop=True),
+        want[TRIPLE_COLS].sort_values(TRIPLE_COLS).reset_index(drop=True),
+        check_exact=True,
+    )
 
 
 def test_nodes_match_oracle(kg_run):
@@ -66,11 +76,8 @@ def test_nodes_match_oracle(kg_run):
         .sort_values("node_id")
         .reset_index(drop=True)
     )
-    pd.testing.assert_frame_equal(
-        got[["node_id", "canonical_name", "type", "n_mentions"]],
-        want[["node_id", "canonical_name", "type", "n_mentions"]],
-    )
-    assert (got["prob_max"] - want["prob_max"]).abs().max() < 1e-9
+    cols = ["node_id", "canonical_name", "type", "n_mentions", "prob_max"]
+    pd.testing.assert_frame_equal(got[cols], want[cols], check_exact=True)
 
 
 def test_edges_match_oracle_and_sorted(kg_run):

@@ -114,6 +114,29 @@ def test_md5_int_vec_matches_hashlib(strs):
         assert (got == want).all()
 
 
+def test_block_digest_tells_nul_blocks_apart_and_matches_retries():
+    """The sinks' slice digest reads the block's bytes in order: urls
+    that differ only after a NUL, or the same rows reordered, give other
+    digests; a retried block (same rows, other chunking or metadata)
+    gives the same one."""
+    import pyarrow as pa
+
+    from medical_knowledge_graph_ray.functions.hashing import block_digest
+
+    def block(urls, ords):
+        return pa.table({"url": pa.array(urls, pa.string()),
+                         "sent_ord": pa.array(ords, pa.int32())})
+
+    a = block(["x\x00a", "x\x00b"], [0, 0])
+    b = block(["x\x00a", "x\x00c"], [0, 0])
+    assert block_digest(a) != block_digest(b)
+    assert block_digest(a) != block_digest(block(["x\x00b", "x\x00a"], [0, 0]))
+    retry = pa.concat_tables([a.slice(0, 1), a.slice(1)]).replace_schema_metadata(
+        {"k": "v"})
+    assert block_digest(retry) == block_digest(a)
+    assert len(block_digest(a)) == 16
+
+
 def test_md5_int_vec_block_boundaries_and_slices():
     """Deterministic edge lengths around the 1→2 and 2→3 block boundaries
     (55/56, 119/120 message bytes) plus sliced/chunked Arrow inputs."""

@@ -161,17 +161,19 @@ def test_trained_flagship_pr_vs_default_oracle(corpus, model_dir, tmp_path):
     assert p >= 0.95 and r >= 0.95, (p, r)
 
 
-def test_trained_config_parallelism_invariance(corpus, model_dir, tmp_path):
+def test_trained_config_parallelism_invariance(corpus, model_dir, tmp_path,
+                                               monkeypatch):
     """Identical triple sets under different shard counts and NER batch
     sizes — the trained decode is a pure function of (weights, sentence)
     and the corroboration gate is batch-local."""
     from medical_knowledge_graph_ray.config import EngineConfig
-    from medical_knowledge_graph_ray.pipelines.kg import run_kg
+    from medical_knowledge_graph_ray.pipelines import kg
 
-    cfg_a = EngineConfig(trained_model_dir=model_dir, ner_batch_size=64)
-    cfg_b = EngineConfig(trained_model_dir=model_dir, ner_batch_size=512)
-    run_kg(corpus, str(tmp_path / "a"), n_shards=2, config=cfg_a)
-    run_kg(corpus, str(tmp_path / "b"), n_shards=5, config=cfg_b)
+    cfg = EngineConfig(trained_model_dir=model_dir)
+    monkeypatch.setattr(kg, "NER_BATCH_SIZE", 64)
+    kg.run_kg(corpus, str(tmp_path / "a"), n_shards=2, config=cfg)
+    monkeypatch.setattr(kg, "NER_BATCH_SIZE", 512)
+    kg.run_kg(corpus, str(tmp_path / "b"), n_shards=5, config=cfg)
     ta = _triples(str(tmp_path / "a"))
     tb = _triples(str(tmp_path / "b"))
     cols = ["subj", "pred", "obj", "url", "sent_ord", "prob"]
