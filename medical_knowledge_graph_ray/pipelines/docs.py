@@ -15,7 +15,7 @@ from ..stages.dedup import (
     ngram_jaccard_group,
     simhash_batch,
 )
-from ..stages.shuffle import fold_groups
+from ..stages.shuffle import fold_groups, group_frame
 from ..stages.text_stats import (
     doc_stats_batch,
     fingerprint_batch,
@@ -237,47 +237,29 @@ LIMIT 10
 def embed_norms(sf_dir: str):
     """Per-label vector-count and average L2 norm (6-dp-stable)."""
     import numpy as np
-    from ray.data.aggregate import Sum
-
-    _EMPTY_PARTIAL = pd.DataFrame(
-        {"label": pd.array([], "int32"), "n_vecs": pd.array([], "int64"),
-         "norm_u": pd.array([], "int64")}
-    )
 
     def partial(b: pd.DataFrame) -> pd.DataFrame:
-        if not len(b):  # typed empty — a column-less frame poisons
-            return _EMPTY_PARTIAL  # downstream schema unification
-        mat = np.stack([np.asarray(v, dtype=np.float64) for v in b["embedding"]])
-        norm_u = np.rint(np.round(np.linalg.norm(mat, axis=1), 6) * 1_000_000).astype(
-            "int64"
-        )
-        return (
-            pd.DataFrame({"label": b["label"], "norm_u": norm_u})
-            .groupby("label", sort=False)
-            .agg(n_vecs=("norm_u", "size"), norm_u=("norm_u", "sum"))
-            .reset_index()
-        )
+        norm_u = np.zeros(len(b), dtype="int64")
+        if len(b):
+            mat = np.stack([np.asarray(v, dtype=np.float64) for v in b["embedding"]])
+            norm_u = np.rint(
+                np.round(np.linalg.norm(mat, axis=1), 6) * 1_000_000
+            ).astype("int64")
+        return pd.DataFrame({"label": b["label"], "n_vecs": 1, "norm_u": norm_u})
 
-    agg = (
-        _embeddings(sf_dir)
-        .map_batches(arrow_out(partial), batch_format="pandas")
-        .groupby("label")
-        .aggregate(Sum("n_vecs", alias_name="n_vecs"), Sum("norm_u", alias_name="norm_u"))
+    agg = fold_groups(  # ≤ |labels| rows
+        _embeddings(sf_dir).map_batches(arrow_out(partial), batch_format="pandas"),
+        ["label"], [("n_vecs", "sum"), ("norm_u", "sum")])
+    return pd.DataFrame(
+        {
+            # the fold widens int32 keys to int64; the oracle keeps the
+            # parquet int32 — retype to match the driver's dtype-strict
+            # compare
+            "label": agg["label"].astype("int32"),
+            "n_vecs": agg["n_vecs"],
+            "avg_norm": agg["norm_u"] / 1_000_000.0 / agg["n_vecs"],
+        }
     )
-
-    def finalize(df: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame(
-            {
-                # Ray's groupby widens int32 keys to int64; the oracle
-                # keeps the parquet int32 — retype to match the driver's
-                # dtype-strict compare
-                "label": df["label"].astype("int32"),
-                "n_vecs": df["n_vecs"],
-                "avg_norm": df["norm_u"] / 1_000_000.0 / df["n_vecs"],
-            }
-        )
-
-    return agg.map_batches(finalize, batch_format="pandas")
 
 
 EMBED_NORMS_SQL = """
@@ -339,11 +321,8 @@ def embed_kmeans(sf_dir: str) -> pd.DataFrame:
     assigned = kmeans_assign(_embeddings(sf_dir), cent)
 
     def partial(b: pd.DataFrame) -> pd.DataFrame:
-        return (
-            b.groupby("cluster", sort=False)
-            .agg(n=("sim_ppm", "size"), sim_ppm=("sim_ppm", "sum"))
-            .reset_index()
-        )
+        return pd.DataFrame({"cluster": b["cluster"], "n": 1,
+                             "sim_ppm": b["sim_ppm"]})
 
     agg = fold_groups(  # ≤ k rows
         assigned.map_batches(arrow_out(partial), batch_format="pandas"),
@@ -3077,18 +3056,11 @@ def docs_global_shuffle(sf_dir: str):
     keyed = docs.map_batches(arrow_out(with_bucket_safe), batch_format="pandas")
     keyed = keyed.materialize()  # two passes over the keyed rows
 
-    def count_partial(b: pd.DataFrame) -> pd.DataFrame:
-        c = b.groupby("bucket", sort=False).size()
-        return pd.DataFrame(
-            {"bucket": pd.array(c.index, "int32"),
-             "n": pd.array(c.to_numpy(), "int64")}
-        )
-
-    counts = (
-        keyed.map_batches(arrow_out(count_partial), batch_format="pandas")
-        .to_pandas()  # ≤ blocks × 64 tiny rows
-        .groupby("bucket")["n"].sum().sort_index()
-    )
+    counts = fold_groups(  # ≤ 64 rows
+        keyed.map_batches(
+            arrow_out(lambda b: pd.DataFrame({"bucket": b["bucket"], "n": 1})),
+            batch_format="pandas"),
+        ["bucket"], [("n", "sum")]).set_index("bucket")["n"]
     offsets = counts.cumsum().shift(fill_value=0).to_dict()
     off_ref = ray.put(offsets)
 
@@ -3131,8 +3103,8 @@ def docs_dsir(sf_dir: str, *, target_lang: str = DSIR_TARGET_LANG):
     slice (here ``lang == target_lang``) vs the full SOURCE corpus;
     per-doc log importance = Σ_token ln(p_tgt[b]/p_src[b]).
 
-    Scale shape: pass 1 is a mergeable 256-bucket census (per-batch
-    ``np.bincount`` partials, driver fold — the HLL/CMS artifact size);
+    Scale shape: pass 1 is a mergeable 256-bucket census (per-token
+    bucket columns, ``fold_groups`` — the HLL/CMS artifact size);
     pass 2 scores each doc vectorized against the broadcast 256-float
     log-ratio vector and applies the content-stable acceptance rule
     ``keep ⟺ md5_32('dsir|'‖id)/2³² < exp(logw − max logw)`` (importance
@@ -3140,7 +3112,6 @@ def docs_dsir(sf_dir: str, *, target_lang: str = DSIR_TARGET_LANG):
     function of content at any parallelism).  Returns
     (doc_id, lang, logw, keep)."""
     import numpy as np
-    from ray.data.aggregate import Max
 
     from ..functions.arrow import arrow_out
     from ..functions.hashing import md5_int_vec_prefixed, stable_bucket_vec
@@ -3155,21 +3126,13 @@ def docs_dsir(sf_dir: str, *, target_lang: str = DSIR_TARGET_LANG):
         is_tgt = np.repeat(
             (b["lang"].to_numpy() == target_lang), counts
         )
-        n_src = np.bincount(buckets, minlength=DSIR_BUCKETS)
-        n_tgt = np.bincount(buckets[is_tgt], minlength=DSIR_BUCKETS)
-        nz = np.nonzero(n_src)[0]
-        return pd.DataFrame(
-            {"bucket": pd.array(nz.astype("int64"), "int64"),
-             "n_src": pd.array(n_src[nz].astype("int64"), "int64"),
-             "n_tgt": pd.array(n_tgt[nz].astype("int64"), "int64")}
-        )
+        return pd.DataFrame({"bucket": buckets, "n_src": 1,
+                             "n_tgt": is_tgt.astype("int64")})
 
-    cen = (
-        docs.map_batches(arrow_out(census), batch_format="pandas")
-        .to_pandas()  # ≤ blocks × 256 tiny rows
-        .groupby("bucket")[["n_src", "n_tgt"]].sum()
-        .reindex(range(DSIR_BUCKETS), fill_value=0)
-    )
+    cen = fold_groups(  # ≤ 256 rows
+        docs.map_batches(arrow_out(census), batch_format="pandas"),
+        ["bucket"], [("n_src", "sum"), ("n_tgt", "sum")],
+    ).set_index("bucket").reindex(range(DSIR_BUCKETS), fill_value=0)
     # add-1 smoothing on both LMs so empty buckets stay finite; each
     # bucket's log-ratio PRE-rounds to 6 dp so per-doc sums are exact
     # multiples of 1e-6 — summation-order-immune and SQL-oracle-equal
@@ -3194,7 +3157,7 @@ def docs_dsir(sf_dir: str, *, target_lang: str = DSIR_TARGET_LANG):
     scored = docs.map_batches(
         arrow_out(score), batch_format="pandas"
     ).materialize()  # reused: global max + the acceptance pass
-    w_max = scored.aggregate(Max("logw", alias_name="m"))["m"]
+    w_max = fold_groups(scored, [], [("logw", "max")])["logw"].iloc[0]
 
     def accept(b: pd.DataFrame) -> pd.DataFrame:
         u = (
@@ -3229,16 +3192,11 @@ def docs_unigram_logprob(sf_dir: str):
     def census(b: pd.DataFrame) -> pd.DataFrame:
         toks = b["text"].astype(str).str.split(" ")
         flat = np.concatenate(toks.to_numpy()) if len(b) else np.array([], str)
-        u, c = np.unique(flat, return_counts=True)
-        return pd.DataFrame(
-            {"tok": pd.array(u, "str"), "n": pd.array(c.astype("int64"), "int64")}
-        )
+        return pd.DataFrame({"tok": pd.array(flat, "str"), "n": 1})
 
-    cen = (
-        docs.map_batches(arrow_out(census), batch_format="pandas")
-        .to_pandas()  # vocabulary-bounded artifact
-        .groupby("tok")["n"].sum()
-    )
+    cen = fold_groups(  # vocabulary-bounded artifact
+        docs.map_batches(arrow_out(census), batch_format="pandas"),
+        ["tok"], [("n", "sum")]).set_index("tok")["n"]
     total = float(cen.sum())
     logp = {t: float(np.round(np.log(n / total), 6)) for t, n in cen.items()}
 
@@ -3359,9 +3317,9 @@ def docs_nb_langid(sf_dir: str):
     bucket) log-probability and the class prior pre-round to 6 dp, so
     per-doc class scores are sums of identical doubles on both engines;
     the final score re-rounds to 6 dp and ties break on ascending class
-    name.  Scale shape: the census partials are ≤ |classes| × (B+1)
-    rows per batch (driver fold is a model-sized artifact, the HLL/CMS
-    pattern); scoring broadcasts the (C × B) log-prob matrix and runs
+    name.  Scale shape: the census folds to ≤ |classes| × (B+1) rows
+    (``fold_groups``; a model-sized artifact, the HLL/CMS pattern);
+    scoring broadcasts the (C × B) log-prob matrix and runs
     one ``np.add.at`` per batch — no exchange anywhere."""
     import numpy as np
 
@@ -3376,28 +3334,17 @@ def docs_nb_langid(sf_dir: str):
         counts = toks.str.len().to_numpy()
         flat = np.concatenate(toks.to_numpy()) if len(b) else np.array([], str)
         buckets = stable_bucket_vec(flat, NB_BUCKETS).astype("int64")
-        tok_lang = np.repeat(langs.to_numpy(), counts)
-        tf = (
-            pd.DataFrame({"c": tok_lang, "bucket": buckets})
-            .groupby(["c", "bucket"], sort=False).size().reset_index(name="n")
-        )
         # bucket = -1 rows carry the per-class DOCUMENT counts (priors)
-        dc = langs.value_counts()
-        pri = pd.DataFrame(
-            {"c": dc.index.astype(str),
-             "bucket": np.full(len(dc), -1, "int64"),
-             "n": dc.to_numpy("int64")}
+        return pd.DataFrame(
+            {"c": np.concatenate([np.repeat(langs.to_numpy(), counts),
+                                  langs.to_numpy()]),
+             "bucket": np.concatenate([buckets, np.full(len(b), -1, "int64")]),
+             "n": 1}
         )
-        out = pd.concat([tf, pri], ignore_index=True)
-        out["n"] = out["n"].astype("int64")
-        out["bucket"] = out["bucket"].astype("int64")
-        return out
 
-    cen = (
-        docs.map_batches(arrow_out(census), batch_format="pandas")
-        .to_pandas()  # ≤ blocks × classes × (B+1) tiny rows
-        .groupby(["c", "bucket"])["n"].sum().reset_index()
-    )
+    cen = fold_groups(  # ≤ classes × (B+1) rows
+        docs.map_batches(arrow_out(census), batch_format="pandas"),
+        ["c", "bucket"], [("n", "sum")])
     classes = np.array(sorted(cen["c"].unique()))
     c_idx = {c: i for i, c in enumerate(classes)}
     C = len(classes)
@@ -3557,24 +3504,19 @@ def docs_odds_ratio(sf_dir: str):
             "c"].sum(),
     ).materialize()  # vocab×sources-sized; three bounded consumers
 
-    def ns_partial(b: pd.DataFrame) -> pd.DataFrame:
-        # additive partial — safe under any batch split
-        return b.groupby("source", sort=False, as_index=False)["c"].sum()
-
-    stats = census.map_batches(
-        arrow_out(ns_partial), batch_format="pandas"
-    ).to_pandas()  # ≤ batches × sources tiny rows
-    n_s = stats.groupby("source")["c"].sum().astype(int).to_dict()
+    n_s = fold_groups(  # ≤ |sources| rows
+        census.select_columns(["source", "c"]), ["source"], [("c", "sum")]
+    ).set_index("source")["c"].astype(int).to_dict()
     n_all = int(sum(n_s.values()))
     # distinct vocabulary: per-BUCKET distinct is exact (buckets are
     # token-disjoint and the group map sees the whole bucket — a plain
     # map_batches partial could split a bucket and double-count)
-    v = int(bucketed_group_map(
+    v = int(fold_groups(bucketed_group_map(
         census, ["token"],
         lambda g: pd.DataFrame({"v": pd.array([g["token"].nunique()],
                                               "int64")}),
         num_buckets=4,
-    ).to_pandas()["v"].sum())
+    ), [], [("v", "sum")])["v"].iloc[0])
     consts = ray.put((n_s, n_all, v))
 
     def score(g: pd.DataFrame) -> pd.DataFrame:
@@ -3660,19 +3602,15 @@ def docs_bigram_lm(sf_dir: str):
         x = flat[:-1][same]
         y = flat[1:][same]
         key = np.char.add(np.char.add(x.astype(str), " "), y.astype(str))
-        u, c = np.unique(key, return_counts=True)
-        ut, ct = np.unique(flat, return_counts=True)
         return pd.DataFrame(
-            {"key": pd.array(np.concatenate([u, ut]), "str"),
-             "kind": pd.array(["b"] * len(u) + ["t"] * len(ut), "str"),
-             "n": pd.array(np.concatenate([c, ct]).astype("int64"), "int64")}
+            {"key": pd.array(np.concatenate([key, flat]).astype(str), "str"),
+             "kind": pd.array(["b"] * len(key) + ["t"] * len(flat), "str"),
+             "n": 1}
         )
 
-    cen = (
-        docs.map_batches(arrow_out(census), batch_format="pandas")
-        .to_pandas()  # vocabulary-bounded artifact
-        .groupby(["kind", "key"])["n"].sum()
-    )
+    cen = fold_groups(  # vocabulary-bounded artifact
+        docs.map_batches(arrow_out(census), batch_format="pandas"),
+        ["kind", "key"], [("n", "sum")]).set_index(["kind", "key"])["n"]
     big = cen.loc["b"]
     v = len(cen.loc["t"])
     # context counts: occurrences of x as the FIRST element of a bigram
@@ -3774,21 +3712,12 @@ def embed_label_centroids(sf_dir: str):
                  "sum_micro": pd.array(s, "int64")}))
         return pd.concat(rows, ignore_index=True)
 
-    from ray.data.aggregate import Sum
-
-    agg = (
-        emb.map_batches(arrow_out(partial), batch_format="pandas")
-        .groupby(["label", "dim"])
-        .aggregate(Sum("n_vecs", alias_name="n_vecs"),
-                   Sum("sum_micro", alias_name="sum_micro"))
-    )
-
-    def retype(b: pd.DataFrame) -> pd.DataFrame:
-        # Ray's groupby widens the int32 key; the driver compare is
-        # dtype-strict against the oracle's int32 label
-        return b.astype({"label": "int32"})
-
-    return agg.map_batches(arrow_out(retype), batch_format="pandas")
+    agg = fold_groups(  # ≤ |labels| × dims rows
+        emb.map_batches(arrow_out(partial), batch_format="pandas"),
+        ["label", "dim"], [("n_vecs", "sum"), ("sum_micro", "sum")])
+    # the fold widens the int32 key; the driver compare is dtype-strict
+    # against the oracle's int32 label
+    return agg.astype({"label": "int32"})
 
 
 LABEL_CENTROIDS_SQL = """
@@ -3859,15 +3788,11 @@ def docs_zipf(sf_dir: str):
         arrow_out(vbucket), batch_format="pandas"
     ).materialize()  # two passes: bucket census, then rank+moments
 
-    counts = (
+    counts = fold_groups(  # ≤ range-buckets rows
         keyed.map_batches(
-            arrow_out(lambda b: b.groupby("vbucket", sort=False)
-                      .size().rename("c").reset_index()),
-            batch_format="pandas",
-        )
-        .to_pandas()  # ≤ batches × range-buckets
-        .groupby("vbucket")["c"].sum().sort_index()
-    )
+            arrow_out(lambda b: pd.DataFrame({"vbucket": b["vbucket"], "c": 1})),
+            batch_format="pandas"),
+        ["vbucket"], [("c", "sum")]).set_index("vbucket")["c"]
     rank_off = counts.cumsum().shift(fill_value=0)
     off_ref = ray.put({int(vb): int(o) for vb, o in rank_off.items()})
 
@@ -3896,12 +3821,15 @@ def docs_zipf(sf_dir: str):
         out = out.drop(columns=["sxx", "sxy", "syy"])
         return out.astype({"n": "int64", "sx": "int64", "sy": "int64"})
 
-    m = bucketed_group_map(keyed, ["vbucket"], moments_bucket).to_pandas()
-    n = int(m["n"].sum())
-    sx, sy = int(m["sx"].sum()), int(m["sy"].sum())
-    sxx = int(m["sxx_hi"].sum()) * LIMB + int(m["sxx_lo"].sum())
-    sxy = int(m["sxy_hi"].sum()) * LIMB + int(m["sxy_lo"].sum())
-    syy = int(m["syy_hi"].sum()) * LIMB + int(m["syy_lo"].sum())
+    m = fold_groups(
+        bucketed_group_map(keyed, ["vbucket"], moments_bucket), [],
+        [(c, "sum") for c in ("n", "sx", "sy", "sxx_lo", "sxx_hi", "sxy_lo",
+                              "sxy_hi", "syy_lo", "syy_hi")]).iloc[0]
+    n = int(m["n"])
+    sx, sy = int(m["sx"]), int(m["sy"])
+    sxx = int(m["sxx_hi"]) * LIMB + int(m["sxx_lo"])
+    sxy = int(m["sxy_hi"]) * LIMB + int(m["sxy_lo"])
+    syy = int(m["syy_hi"]) * LIMB + int(m["syy_lo"])
     slope = float(n * sxy - sx * sy) / float(n * sxx - sx * sx)
     intercept = (float(sy) - slope * sx) / n
     return pd.DataFrame(
@@ -4075,19 +4003,15 @@ def docs_minhash_eval(sf_dir: str):
     def bucket(g: pd.DataFrame) -> pd.DataFrame:
         p = g.groupby(["doc_a", "doc_b"], sort=False)[["is_lsh", "is_true"]
                                                       ].max()
-        return pd.DataFrame(
-            {"n_cand": pd.array([int(p["is_lsh"].sum())], "int64"),
-             "n_true": pd.array([int(p["is_true"].sum())], "int64"),
-             "n_hit": pd.array(
-                 [int((p["is_lsh"] & p["is_true"]).sum())], "int64")}
-        )
+        return pd.DataFrame({"n_cand": p["is_lsh"], "n_true": p["is_true"],
+                             "n_hit": p["is_lsh"] & p["is_true"]})
 
-    parts = bucketed_group_map(
-        lsh.union(true), ["doc_a", "doc_b"], bucket
-    ).to_pandas()
-    n_cand = int(parts["n_cand"].sum())
-    n_true = int(parts["n_true"].sum())
-    n_hit = int(parts["n_hit"].sum())
+    parts = fold_groups(
+        bucketed_group_map(lsh.union(true), ["doc_a", "doc_b"], bucket), [],
+        [("n_cand", "sum"), ("n_true", "sum"), ("n_hit", "sum")]).iloc[0]
+    n_cand = int(parts["n_cand"])
+    n_true = int(parts["n_true"])
+    n_hit = int(parts["n_hit"])
     return pd.DataFrame(
         {"n_candidates": pd.array([n_cand], "int64"),
          "n_true": pd.array([n_true], "int64"),
@@ -4193,15 +4117,11 @@ def docs_rake(sf_dir: str):
         flat = np.concatenate(ws.to_numpy()) if len(b) else np.array([], str)
         freq = np.repeat(n, wl)
         deg = np.repeat(n * wl, wl)
-        df = pd.DataFrame({"word": flat, "freq": freq, "deg": deg})
-        return (df.groupby("word", sort=False, as_index=False)
-                [["freq", "deg"]].sum())
+        return pd.DataFrame({"word": flat, "freq": freq, "deg": deg})
 
-    ws = (
-        census.map_batches(arrow_out(word_partial), batch_format="pandas")
-        .to_pandas()  # vocab-bounded artifact
-        .groupby("word")[["freq", "deg"]].sum()
-    )
+    ws = fold_groups(  # vocab-bounded artifact
+        census.map_batches(arrow_out(word_partial), batch_format="pandas"),
+        ["word"], [("freq", "sum"), ("deg", "sum")]).set_index("word")
     score_w = {w: (int(r.deg) * 1_000_000) // int(r.freq)
                for w, r in ws.iterrows()}
     ref = ray.put(score_w)
@@ -4304,11 +4224,9 @@ def embed_label_affinity(sf_dir: str):
                  "sq": pd.array(s, "int64")}))
         return pd.concat(rows, ignore_index=True)
 
-    sums = (
-        emb.map_batches(arrow_out(sum_partial), batch_format="pandas")
-        .to_pandas()  # labels×dims artifact
-        .groupby(["label", "dim"])["sq"].sum()
-    )
+    sums = fold_groups(  # labels×dims artifact
+        emb.map_batches(arrow_out(sum_partial), batch_format="pandas"),
+        ["label", "dim"], [("sq", "sum")]).set_index(["label", "dim"])["sq"]
     cents: dict[int, np.ndarray] = {}
     ns: dict[int, int] = {}
     for lab in sums.index.get_level_values(0).unique():
@@ -4525,17 +4443,13 @@ def docs_heaps(sf_dir: str):
 
     docs = _docs(sf_dir, ["doc_id", "text"]).materialize()
 
-    def bounds_partial(b: pd.DataFrame) -> pd.DataFrame:
-        if not len(b):
-            return pd.DataFrame({"lo": pd.array([], "int64"),
-                                 "hi": pd.array([], "int64")})
-        d = b["doc_id"].to_numpy("int64")
-        return pd.DataFrame({"lo": pd.array([int(d.min())], "int64"),
-                             "hi": pd.array([int(d.max())], "int64")})
-
-    bounds = docs.map_batches(
-        arrow_out(bounds_partial), batch_format="pandas").to_pandas()
-    lo, hi = int(bounds["lo"].min()), int(bounds["hi"].max())
+    bounds = fold_groups(
+        docs.map_batches(
+            arrow_out(lambda b: pd.DataFrame({"lo": b["doc_id"].astype("int64"),
+                                              "hi": b["doc_id"].astype("int64")})),
+            batch_format="pandas"),
+        [], [("lo", "min"), ("hi", "max")])
+    lo, hi = int(bounds["lo"].iloc[0]), int(bounds["hi"].iloc[0])
     thresholds = [lo + (k + 1) * (hi - lo) // HEAPS_POINTS
                   for k in range(HEAPS_POINTS)]
 
@@ -4562,11 +4476,9 @@ def docs_heaps(sf_dir: str):
                                "int64")}
         )
 
-    vocab = (
-        firsts.map_batches(arrow_out(count_partial), batch_format="pandas")
-        .to_pandas()  # ≤ batches × P rows (additive under any split)
-        .groupby("k")["vocab"].sum()
-    )
+    vocab = fold_groups(  # P rows (additive under any split)
+        firsts.map_batches(arrow_out(count_partial), batch_format="pandas"),
+        ["k"], [("vocab", "sum")]).set_index("k")["vocab"]
 
     def docs_partial(b: pd.DataFrame) -> pd.DataFrame:
         d = b["doc_id"].to_numpy("int64")
@@ -4576,11 +4488,9 @@ def docs_heaps(sf_dir: str):
                                 "int64")}
         )
 
-    nd = (
-        docs.map_batches(arrow_out(docs_partial), batch_format="pandas")
-        .to_pandas()
-        .groupby("k")["n_docs"].sum()
-    )
+    nd = fold_groups(
+        docs.map_batches(arrow_out(docs_partial), batch_format="pandas"),
+        ["k"], [("n_docs", "sum")]).set_index("k")["n_docs"]
     return pd.DataFrame(
         {"k": pd.array(range(HEAPS_POINTS), "int64"),
          "threshold": pd.array(thresholds, "int64"),
@@ -4665,15 +4575,9 @@ def docs_source_js(sf_dir: str):
             "c"].sum(),
     ).materialize()
 
-    ns = (
-        census.map_batches(
-            arrow_out(lambda b: b.groupby("source", sort=False,
-                                          as_index=False)["c"].sum()),
-            batch_format="pandas",
-        )
-        .to_pandas()
-        .groupby("source")["c"].sum().astype(int).to_dict()
-    )
+    ns = fold_groups(  # ≤ |sources| rows
+        census.select_columns(["source", "c"]), ["source"], [("c", "sum")]
+    ).set_index("source")["c"].astype(int).to_dict()
     n_all = int(sum(ns.values()))
     ref = ray.put((ns, n_all))
 
@@ -4703,9 +4607,8 @@ def docs_source_js(sf_dir: str):
                                       "int64")}
         )
 
-    parts = bucketed_group_map(census, ["token"], js_bucket).to_pandas()
-    agg = parts.groupby("source", as_index=False)[
-        ["p_side_micro", "q_side_micro"]].sum()
+    agg = fold_groups(bucketed_group_map(census, ["token"], js_bucket), ["source"],
+                      [("p_side_micro", "sum"), ("q_side_micro", "sum")])
     agg["n_s"] = agg["source"].map(ns).astype("int64")
     return agg.astype({"p_side_micro": "int64", "q_side_micro": "int64"})
 
@@ -4950,26 +4853,22 @@ def docs_sources_overlap(sf_dir: str) -> pd.DataFrame:
     exploded = docs.map_batches(arrow_out(explode), batch_format="pandas")
 
     def bucket(g: pd.DataFrame) -> pd.DataFrame:
+        # one row per (gram, source) and per (gram, source pair)
         d = g.drop_duplicates()
-        ns = d.groupby("source", sort=False).size()
-        diag = pd.DataFrame({"src_a": ns.index, "src_b": ns.index,
-                             "inter": ns.to_numpy("int64")})
         m = d.merge(d, on="g")
         m = m[m["source_x"] < m["source_y"]]
-        pc_ = (m.groupby(["source_x", "source_y"], sort=False).size()
-               .reset_index(name="inter"))
-        pairs = pd.DataFrame({"src_a": pc_["source_x"],
-                              "src_b": pc_["source_y"],
-                              "inter": pc_["inter"].to_numpy("int64")})
-        out = pd.concat([diag, pairs], ignore_index=True)
-        return out.astype({"src_a": "str", "src_b": "str", "inter": "int64"})
+        return pd.DataFrame(
+            {"src_a": pd.concat([d["source"], m["source_x"]], ignore_index=True),
+             "src_b": pd.concat([d["source"], m["source_y"]], ignore_index=True),
+             "inter": 1}).astype({"src_a": "str", "src_b": "str"})
 
-    cen = bucketed_group_map(exploded, ["g"], bucket).to_pandas()
+    agg = fold_groups(  # ≤ |S|² rows
+        bucketed_group_map(exploded, ["g"], bucket), ["src_a", "src_b"],
+        [("inter", "sum")])
     cols = ["src_a", "src_b", "inter", "uni", "jaccard_micro"]
-    if "src_a" not in cen.columns:
+    if not len(agg):
         return pd.DataFrame({c: pd.array([], "str" if c.startswith("src")
                                          else "int64") for c in cols})
-    agg = (cen.groupby(["src_a", "src_b"], as_index=False)["inter"].sum())
     ns = (agg[agg["src_a"] == agg["src_b"]]
           .set_index("src_a")["inter"].to_dict())
     out = agg[agg["src_a"] < agg["src_b"]].copy()
@@ -5025,10 +4924,10 @@ def docs_ttr(sf_dir: str) -> pd.DataFrame:
     lexical-diversity quality signal (template-generated or boilerplate
     sources show low TTR; OCR-noise sources show a hapax spike).
 
-    Shape: per-batch (source, token, count) combiner → ONE bucketed
+    Shape: per-batch (source, token, count) Arrow combiner → ONE bucketed
     exchange on token (token-complete buckets make each (source, token)
-    global count exact) → per-bucket per-source (distinct, hapax, Σc)
-    partials → a ≤ |S|-row driver fold.  ttr_micro is the exact integer
+    global count exact) → one (Σc, distinct, hapax) row per (source,
+    token) → a ≤ |S|-row ``fold_groups`` census.  ttr_micro is the exact integer
     ``distinct·10⁶ // tokens``."""
     import numpy as np
 
@@ -5042,31 +4941,28 @@ def docs_ttr(sf_dir: str) -> pd.DataFrame:
         src = np.repeat(b["source"].to_numpy(), n)
         t = np.concatenate([np.asarray(x, dtype=object) for x in toks]) \
             if len(b) else np.array([], dtype=object)
-        out = (pd.DataFrame({"source": src, "t": t})
-               .groupby(["source", "t"], sort=False).size()
-               .reset_index(name="c"))
-        out["c"] = out["c"].astype("int64")
-        return out.astype({"source": "str", "t": "str"})
+        return group_frame(
+            pd.DataFrame({"source": src, "t": t, "c": 1}).astype(
+                {"source": "str", "t": "str"}),
+            ["source", "t"], [("c", "sum")])
 
     partials = docs.map_batches(arrow_out(partial), batch_format="pandas")
 
     def bucket(g: pd.DataFrame) -> pd.DataFrame:
-        full = g.groupby(["source", "t"], sort=False, as_index=False)["c"].sum()
-        per = full.groupby("source", sort=False).agg(
-            n_tokens=("c", "sum"), n_distinct=("c", "size"),
-            n_hapax=("c", lambda s: int((s == 1).sum())))
-        per = per.reset_index()
-        return per.astype({"source": "str", "n_tokens": "int64",
-                           "n_distinct": "int64", "n_hapax": "int64"})
+        # one row per (source, token), its global count complete here
+        full = group_frame(g, ["source", "t"], [("c", "sum")])
+        return pd.DataFrame({"source": full["source"], "n_tokens": full["c"],
+                             "n_distinct": 1,
+                             "n_hapax": (full["c"] == 1).astype("int64")})
 
-    cen = bucketed_group_map(partials, ["t"], bucket).to_pandas()
-    if "source" not in cen.columns:
+    agg = fold_groups(  # ≤ |S| rows
+        bucketed_group_map(partials, ["t"], bucket), ["source"],
+        [("n_tokens", "sum"), ("n_distinct", "sum"), ("n_hapax", "sum")])
+    if not len(agg):
         return pd.DataFrame({c: pd.array([], "str" if c == "source"
                                          else "int64")
                              for c in ["source", "n_tokens", "n_distinct",
                                        "n_hapax", "ttr_micro"]})
-    agg = cen.groupby("source", as_index=False)[
-        ["n_tokens", "n_distinct", "n_hapax"]].sum()
     return pd.DataFrame(
         {"source": agg["source"].astype("str"),
          "n_tokens": agg["n_tokens"].astype("int64"),
@@ -5108,8 +5004,8 @@ def docs_simpson(sf_dir: str) -> pd.DataFrame:
 
     Shape: per-batch (source, token, count) combiner → ONE bucketed
     exchange on token (token-complete buckets ⇒ global (source, token)
-    counts exact) → per-bucket limbed partials → ≤|S|·buckets driver
-    fold."""
+    counts exact) → per-bucket limbed partials → ≤|S|-row ``fold_groups``
+    census."""
     import numpy as np
 
     from ..stages.shuffle import bucketed_group_map
@@ -5122,46 +5018,39 @@ def docs_simpson(sf_dir: str) -> pd.DataFrame:
         src = np.repeat(b["source"].to_numpy(), n)
         t = np.concatenate([np.asarray(x, dtype=object) for x in toks]) \
             if len(b) else np.array([], dtype=object)
-        out = (pd.DataFrame({"source": src, "t": t})
-               .groupby(["source", "t"], sort=False).size()
-               .reset_index(name="c"))
-        out["c"] = out["c"].astype("int64")
-        return out.astype({"source": "str", "t": "str"})
+        return group_frame(
+            pd.DataFrame({"source": src, "t": t, "c": 1}).astype(
+                {"source": "str", "t": "str"}),
+            ["source", "t"], [("c", "sum")])
 
     partials = docs.map_batches(arrow_out(partial), batch_format="pandas")
 
     LIMB = 10**15
 
     def bucket(g: pd.DataFrame) -> pd.DataFrame:
-        full = g.groupby(["source", "t"], sort=False, as_index=False)["c"].sum()
-        rows = []
-        for src, sub in full.groupby("source", sort=False):
-            c = sub["c"].to_numpy("int64")
-            # exact Python-int fold: c*(c-1) can pass int64 at scale
-            s = sum(int(v) * (int(v) - 1) for v in c.tolist())
-            rows.append((str(src), int(c.sum()), s % LIMB, s // LIMB))
-        return pd.DataFrame(rows, columns=["source", "n_tokens",
-                                           "cc1_lo", "cc1_hi"]).astype(
+        full = group_frame(g, ["source", "t"], [("c", "sum")])
+        # exact Python-int fold per source: c*(c-1) can pass int64 at scale
+        acc: dict[str, list[int]] = {}
+        for src, c in zip(full["source"], full["c"].tolist()):
+            a = acc.setdefault(src, [0, 0])
+            a[0] += c
+            a[1] += c * (c - 1)
+        return pd.DataFrame(
+            [(src, n, s % LIMB, s // LIMB) for src, (n, s) in acc.items()],
+            columns=["source", "n_tokens", "cc1_lo", "cc1_hi"]).astype(
             {"source": "str", "n_tokens": "int64",
              "cc1_lo": "int64", "cc1_hi": "int64"})
 
-    cen = bucketed_group_map(partials, ["t"], bucket).to_pandas()
-    if "source" not in cen.columns:
-        return pd.DataFrame({c: pd.array([], "str" if c == "source"
-                                         else "int64")
-                             for c in ["source", "n_tokens",
-                                       "cc1_lo", "cc1_hi"]})
-    rows = []
-    for src, sub in cen.groupby("source", sort=False):
-        s = sum(int(lo) + int(hi) * LIMB
-                for lo, hi in zip(sub["cc1_lo"], sub["cc1_hi"]))
-        rows.append((str(src), int(sub["n_tokens"].sum()),
-                     s % LIMB, s // LIMB))
-    out = pd.DataFrame(rows, columns=["source", "n_tokens",
-                                      "cc1_lo", "cc1_hi"]).astype(
-        {"source": "str", "n_tokens": "int64",
-         "cc1_lo": "int64", "cc1_hi": "int64"})
-    return out.sort_values("source", kind="mergesort").reset_index(drop=True)
+    cen = fold_groups(  # ≤ |S| rows; each limb sum stays far below 2^63
+        bucketed_group_map(partials, ["t"], bucket), ["source"],
+        [("n_tokens", "sum"), ("cc1_lo", "sum"), ("cc1_hi", "sum")])
+    cc1 = [int(lo) + int(hi) * LIMB
+           for lo, hi in zip(cen["cc1_lo"], cen["cc1_hi"])]
+    return pd.DataFrame(
+        {"source": pd.array(cen["source"], "str"),
+         "n_tokens": cen["n_tokens"].astype("int64"),
+         "cc1_lo": pd.array([v % LIMB for v in cc1], "int64"),
+         "cc1_hi": pd.array([v // LIMB for v in cc1], "int64")})
 
 
 SIMPSON_SQL = """
@@ -5293,15 +5182,11 @@ def docs_snm_pairs(sf_dir: str, window: int = 4, threshold: float = 0.5,
         arrow_out(keyed_partial), batch_format="pandas"
     ).materialize()
 
-    counts = (
+    counts = fold_groups(  # ≤ distinct-prefix rows
         keyed.map_batches(
-            arrow_out(lambda b: b.groupby("cbucket", sort=False)
-                      .size().rename("n").reset_index()),
-            batch_format="pandas",
-        )
-        .to_pandas()  # ≤ blocks × distinct-prefix tiny rows
-        .groupby("cbucket")["n"].sum().sort_index()
-    )
+            arrow_out(lambda b: pd.DataFrame({"cbucket": b["cbucket"], "n": 1})),
+            batch_format="pandas"),
+        ["cbucket"], [("n", "sum")]).set_index("cbucket")["n"]
     offsets = counts.cumsum().shift(fill_value=0).to_dict()
     off_ref = ray.put(offsets)
 
@@ -5474,13 +5359,9 @@ def docs_readability(sf_dir: str) -> pd.DataFrame:
         is_poly = (flat.str.count("[aeiou]+") >= 3).to_numpy()
         poly = np.zeros(len(b), dtype="int64")
         np.add.at(poly, np.repeat(np.arange(len(b)), n), is_poly)
-        g = (pd.DataFrame({"source": b["source"], "n_docs": 1,
-                           "n_words": words, "n_syllables": syl,
-                           "n_poly": poly})
-             .groupby("source", sort=False, as_index=False).sum())
-        return g.astype({"source": "str", "n_docs": "int64",
-                         "n_words": "int64", "n_syllables": "int64",
-                         "n_poly": "int64"})
+        return pd.DataFrame({"source": b["source"].astype(str), "n_docs": 1,
+                             "n_words": words, "n_syllables": syl,
+                             "n_poly": poly})
 
     agg = fold_groups(  # <= |sources| rows
         docs.map_batches(arrow_out(partial), batch_format="pandas"),
@@ -5927,16 +5808,15 @@ def docs_corpus_report(sf_dir: str) -> pd.DataFrame:
              "n_lang_en": lang_en.astype("int64"),
              "n_gopher_pass": go["passes"].astype("int64")}
         )
-        return f.groupby("source", sort=False, as_index=False).sum()
+        return f
 
-    agg = (
-        docs.map_batches(arrow_out(partial), batch_format="pandas")
-        .to_pandas()  # ≤ batches×sources partial rows — bounded
-        .groupby("source", sort=True, as_index=False).sum()
-    )
+    cols = ("n_docs", "n_tokens", "n_chars", "n_stopwords", "n_distinct",
+            "n_lang_en", "n_gopher_pass")
+    agg = fold_groups(  # ≤ |sources| rows
+        docs.map_batches(arrow_out(partial), batch_format="pandas"),
+        ["source"], [(c, "sum") for c in cols])
     out = {"source": pd.array(agg["source"], "str")}
-    for c in ("n_docs", "n_tokens", "n_chars", "n_stopwords", "n_distinct",
-              "n_lang_en", "n_gopher_pass"):
+    for c in cols:
         out[c] = agg[c].astype("int64")
     return pd.DataFrame(out)
 
@@ -6124,14 +6004,13 @@ def docs_script_mix(sf_dir: str) -> pd.DataFrame:
 
     def partial(b: pd.DataFrame) -> pd.DataFrame:
         t = b["text"].astype(str)
-        g = pd.DataFrame({
+        return pd.DataFrame({
             "source": b["source"].astype(str),
             "n_chars": t.str.len().astype("int64"),
             "n_cjk": t.str.count(cjk).astype("int64"),
             "n_latin": t.str.count(lat).astype("int64"),
             "n_digit": t.str.count(dig).astype("int64"),
-        }).groupby("source", sort=False, as_index=False).sum()
-        return g
+        })
 
     agg = fold_groups(
         docs.map_batches(arrow_out(partial), batch_format="pandas"),
@@ -6288,8 +6167,6 @@ def docs_vocab_drift(sf_dir: str) -> pd.DataFrame:
     Per-batch (source, token) → half-membership bitmask combiner → one
     vocabulary-bounded exchange (Max over the 2-bit mask) → per-source
     fold of bit counts."""
-    from ray.data.aggregate import Max
-
     docs = _docs(sf_dir, ["doc_id", "source", "text"])
 
     def partial(b: pd.DataFrame) -> pd.DataFrame:
@@ -6322,21 +6199,16 @@ def docs_vocab_drift(sf_dir: str) -> pd.DataFrame:
         out = (g.groupby(["source", "token"], sort=False)["mask"]
                .agg(lambda s: int(np.bitwise_or.reduce(s.to_numpy())))
                .reset_index())
-        cnt = (out.assign(
-            in1=(out["mask"].to_numpy("int64") & 1) != 0,
-            in2=(out["mask"].to_numpy("int64") & 2) != 0)
-            .groupby("source", sort=False)
-            .agg(v1=("in1", "sum"), v2=("in2", "sum"),
-                 overlap=("mask", lambda s: int((s.to_numpy("int64") == 3)
-                                                .sum())),
-                 union=("mask", "size"))
-            .reset_index())
-        return cnt.astype({"v1": "int64", "v2": "int64",
-                           "overlap": "int64", "union": "int64"})
+        mask = out["mask"].to_numpy("int64")
+        return pd.DataFrame({"source": out["source"],
+                             "v1": (mask & 1 != 0).astype("int64"),
+                             "v2": (mask & 2 != 0).astype("int64"),
+                             "overlap": (mask == 3).astype("int64"),
+                             "union": 1})
 
-    cen = bucketed_group_map(parts, ["source", "token"], fold).to_pandas()
-    agg = (cen.groupby("source", as_index=False)
-           [["v1", "v2", "overlap", "union"]].sum())
+    agg = fold_groups(  # ≤ |sources| rows
+        bucketed_group_map(parts, ["source", "token"], fold), ["source"],
+        [(c, "sum") for c in ("v1", "v2", "overlap", "union")])
     out = pd.DataFrame({
         "source": pd.array(agg["source"], "str"),
         "v1": agg["v1"].astype("int64"),

@@ -718,10 +718,7 @@ def kg_jaccard_neighbors(sf_dir: str):
     ).materialize()
 
     def deg_partial(b: pd.DataFrame) -> pd.DataFrame:
-        out = b["u"].value_counts().rename_axis("u").reset_index(name="d")
-        return pd.DataFrame(
-            {"u": pd.array(out["u"], "str"), "d": out["d"].astype("int64")}
-        )
+        return pd.DataFrame({"u": pd.array(b["u"].dropna(), "str"), "d": 1})
 
     deg = fold_groups(  # node-cardinality artifact (gazetteer-bounded)
         adjacency.map_batches(arrow_out(deg_partial), batch_format="pandas"),
@@ -844,14 +841,8 @@ def kg_ppmi(sf_dir: str):
 
     def term_partial(b: pd.DataFrame) -> pd.DataFrame:
         per_doc = _KERNEL.counts(b["text"].astype(str).tolist())
-        c: dict[str, int] = {}
-        for counts in per_doc:
-            for t in counts:
-                c[t] = c.get(t, 0) + 1
-        return pd.DataFrame(
-            {"term": pd.array(sorted(c), "str"),
-             "d": pd.array([c[t] for t in sorted(c)], "int64")}
-        )
+        terms = [t for counts in per_doc for t in counts]
+        return pd.DataFrame({"term": pd.array(terms, "str"), "d": 1})
 
     tdocs = fold_groups(  # gazetteer-bounded census
         docs.map_batches(arrow_out(term_partial), batch_format="pandas"),
@@ -940,10 +931,7 @@ def kg_adamic_adar(sf_dir: str):
     ).materialize()
 
     def deg_partial(b: pd.DataFrame) -> pd.DataFrame:
-        out = b["u"].value_counts().rename_axis("u").reset_index(name="d")
-        return pd.DataFrame(
-            {"u": pd.array(out["u"], "str"), "d": out["d"].astype("int64")}
-        )
+        return pd.DataFrame({"u": pd.array(b["u"].dropna(), "str"), "d": 1})
 
     deg = fold_groups(  # node-cardinality artifact
         adjacency.map_batches(arrow_out(deg_partial), batch_format="pandas"),
@@ -1032,11 +1020,8 @@ def kg_clustering_coeff(sf_dir: str):
     ).materialize()
 
     def deg_partial(b: pd.DataFrame) -> pd.DataFrame:
-        both = pd.concat([b["src"].rename("u"), b["dst"].rename("u")])
-        out = both.value_counts().rename_axis("u").reset_index(name="d")
-        return pd.DataFrame(
-            {"u": pd.array(out["u"], "str"), "d": out["d"].astype("int64")}
-        )
+        both = pd.concat([b["src"], b["dst"]]).dropna()
+        return pd.DataFrame({"u": pd.array(both, "str"), "d": 1})
 
     deg = fold_groups(  # node-cardinality artifact
         edges.map_batches(arrow_out(deg_partial), batch_format="pandas"),
@@ -1145,10 +1130,7 @@ def kg_assortativity(sf_dir: str):
     ).materialize()
 
     def deg_partial(b: pd.DataFrame) -> pd.DataFrame:
-        out = b["u"].value_counts().rename_axis("u").reset_index(name="d")
-        return pd.DataFrame(
-            {"u": pd.array(out["u"], "str"), "d": out["d"].astype("int64")}
-        )
+        return pd.DataFrame({"u": pd.array(b["u"].dropna(), "str"), "d": 1})
 
     deg = fold_groups(
         adjacency.map_batches(arrow_out(deg_partial), batch_format="pandas"),
@@ -1156,26 +1138,17 @@ def kg_assortativity(sf_dir: str):
     deg_ref = ray.put(dict(zip(deg["u"], deg["d"].astype(int))))
 
     def moment_partial(b: pd.DataFrame) -> pd.DataFrame:
-        import numpy as np
-
         d = ray.get(deg_ref)
         x = b["u"].map(d).to_numpy("int64")
         y = b["v"].map(d).to_numpy("int64")
-        return pd.DataFrame(
-            {"n": pd.array([len(b)], "int64"),
-             "sx": pd.array([int(x.sum())], "int64"),
-             "sy": pd.array([int(y.sum())], "int64"),
-             "sxx": pd.array([int((x * x).sum())], "int64"),
-             "syy": pd.array([int((y * y).sum())], "int64"),
-             "sxy": pd.array([int((x * y).sum())], "int64")}
-        )
+        return pd.DataFrame({"n": 1, "sx": x, "sy": y, "sxx": x * x,
+                             "syy": y * y, "sxy": x * y})
 
-    m = adjacency.map_batches(
-        arrow_out(moment_partial), batch_format="pandas"
-    ).to_pandas()  # #batches × 6 ints
-    n, sx, sy = int(m["n"].sum()), int(m["sx"].sum()), int(m["sy"].sum())
-    sxx, syy, sxy = (int(m["sxx"].sum()), int(m["syy"].sum()),
-                     int(m["sxy"].sum()))
+    m = fold_groups(
+        adjacency.map_batches(arrow_out(moment_partial), batch_format="pandas"),
+        [], [(c, "sum") for c in ("n", "sx", "sy", "sxx", "syy", "sxy")]).iloc[0]
+    n, sx, sy = int(m["n"]), int(m["sx"]), int(m["sy"])
+    sxx, syy, sxy = int(m["sxx"]), int(m["syy"]), int(m["sxy"])
     num = n * sxy - sx * sy
     a = n * sxx - sx * sx
     b_ = n * syy - sy * sy

@@ -32,7 +32,7 @@ import pandas as pd
 
 from ..functions.arrow import arrow_out, read_parquet_clean
 from ..functions.hashing import md5_int_vec_prefixed
-from ..stages.shuffle import bucketed_group_map
+from ..stages.shuffle import bucketed_group_map, fold_groups
 from ..state.manifests import write_stage
 
 PREP_VERSION = "docs_prep_v1"
@@ -208,21 +208,10 @@ def run_docs_prep(
         return manifests
 
     def stat_partial(b: pd.DataFrame) -> pd.DataFrame:
-        return (
-            b.groupby("split", sort=False)
-            .agg(
-                n_docs=("doc_id", "size"),
-                n_tokens=("n_tokens", "sum"),
-                n_oversize=("oversize", "sum"),
-            )
-            .reset_index()
-        )
+        return pd.DataFrame({"split": b["split"], "n_docs": 1,
+                             "n_tokens": b["n_tokens"].astype("int64"),
+                             "n_oversize": b["oversize"].astype("int64")})
 
-    parts = (
-        read_stage(packs_dir)
-        .map_batches(arrow_out(stat_partial), batch_format="pandas")
-        .to_pandas()
-    )
     # a pack can span stat batches, so n_packs can't be a summed partial;
     # count distinct pack_ids exactly (per-batch dedup shrinks the census
     # to ~n_packs rows before the driver-side final dedup):
@@ -238,13 +227,12 @@ def run_docs_prep(
         .drop_duplicates(["split", "pack_id"])
         .groupby("split").size().rename("n_packs").reset_index()
     )
-    stats = (
-        parts.groupby("split", sort=True)
-        .agg(n_docs=("n_docs", "sum"), n_tokens=("n_tokens", "sum"),
-             n_oversize=("n_oversize", "sum"))
-        .reset_index()
-        .merge(pack_census, on="split")
-    )
+    stats = fold_groups(  # ≤ |splits| rows
+        read_stage(packs_dir).map_batches(arrow_out(stat_partial),
+                                          batch_format="pandas"),
+        ["split"], [("n_docs", "sum"), ("n_tokens", "sum"),
+                    ("n_oversize", "sum")],
+    ).merge(pack_census, on="split")
     from .docs import PACK_BUDGET as _B
 
     stats["fill_rate"] = (

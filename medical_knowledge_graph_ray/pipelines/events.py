@@ -9,7 +9,7 @@ import numpy as np
 import pandas as pd
 
 from ..functions.arrow import arrow_out, read_parquet_clean
-from ..stages.shuffle import fold_groups
+from ..stages.shuffle import bucketed_group_map, fold_groups, group_frame
 from ..stages.windows import (
     argmax_finalize,
     argmax_partial_batch,
@@ -517,32 +517,18 @@ def events_anomaly(sf_dir: str):
 
     def stats_partial(b: pd.DataFrame) -> pd.DataFrame:
         c = np.rint(b["value"].to_numpy() * 100).astype("int64")
-        g = pd.DataFrame(
-            {"event_type": b["event_type"].astype(str), "c": c, "q": c * c}
-        )
-        out = (
-            g.groupby("event_type", sort=False)
-            .agg(n=("c", "size"), s=("c", "sum"), q=("q", "sum"))
-            .reset_index()
-        )
-        return pd.DataFrame(
-            {"event_type": pd.array(out["event_type"], "str"),
-             "n": out["n"].astype("int64"),
-             "s": out["s"].astype("int64"),
-             "q": out["q"].astype("int64")}
-        )
+        return pd.DataFrame({"event_type": b["event_type"].astype(str),
+                             "n": 1, "s": c, "q": c * c})
 
-    partials = ev.map_batches(
-        arrow_out(stats_partial), batch_format="pandas"
-    ).to_pandas()  # ≤ #event_types · #batches rows — bounded artifact
+    stats = fold_groups(  # ≤ #event_types rows — bounded artifact
+        ev.map_batches(arrow_out(stats_partial), batch_format="pandas"),
+        ["event_type"], [("n", "sum"), ("s", "sum"), ("q", "sum")])
 
     n_map: dict[str, int] = {}
     s_map: dict[str, int] = {}
     t_map: dict[str, int] = {}
-    for et, sub in partials.groupby("event_type"):
-        n = int(sub["n"].sum())
-        big_s = int(sub["s"].sum())
-        big_q = int(sub["q"].sum())
+    for et, n, big_s, big_q in stats.itertuples(index=False):
+        n, big_s, big_q = int(n), int(big_s), int(big_q)
         r = 9 * (n * big_q - big_s * big_s)  # Python int: n·Q > int64
         n_map[et] = n
         s_map[et] = big_s
@@ -697,19 +683,12 @@ def events_gapfill(sf_dir: str) -> pd.DataFrame:
 
     def count_partial(b: pd.DataFrame) -> pd.DataFrame:
         hour = b["ts"].dt.floor("h")
-        g = pd.DataFrame({"event_type": b["event_type"].astype(str), "hour": hour})
-        return (
-            g.groupby(["event_type", "hour"], sort=False)
-            .size()
-            .reset_index(name="n")
-        )
+        return pd.DataFrame({"event_type": b["event_type"].astype(str),
+                             "hour": hour, "n": 1})
 
-    parts = ev.map_batches(
-        arrow_out(count_partial), batch_format="pandas"
-    ).to_pandas()  # ≤ #types · #hours · #batches rows — bounded artifact
-    counts = (
-        parts.groupby(["event_type", "hour"], sort=False)["n"].sum().reset_index()
-    )
+    counts = fold_groups(  # ≤ #types · #hours rows — bounded artifact
+        ev.map_batches(arrow_out(count_partial), batch_format="pandas"),
+        ["event_type", "hour"], [("n", "sum")])
     if not len(counts):
         return pd.DataFrame(
             {"event_type": pd.array([], "str"),
@@ -937,11 +916,9 @@ def events_transitions(sf_dir: str):
     and path analysis (the LEAD window family).  One bucketed exchange
     on user_id; inside each bucket the next-type column is ONE shift of
     the (user, ts, event_id)-sorted frame (boundary rows masked where
-    the user changes), then a tiny (type, next_type) count exchange
-    finishes globally — transition keys are |types|² bounded."""
+    the user changes), then ``fold_groups`` counts the (type, next_type)
+    pairs — transition keys are |types|² bounded."""
     import numpy as np
-
-    from ray.data.aggregate import Sum
 
     from ..stages.shuffle import bucketed_group_map
 
@@ -952,27 +929,17 @@ def events_transitions(sf_dir: str):
         user = g["user_id"].to_numpy()
         et = g["event_type"].to_numpy()
         same = user[:-1] == user[1:]
-        df = pd.DataFrame(
-            {"event_type": et[:-1][same], "next_type": et[1:][same]}
-        )
-        return (
-            df.groupby(["event_type", "next_type"], sort=False)
-            .size().rename("n").reset_index()
+        return pd.DataFrame(
+            {"event_type": et[:-1][same], "next_type": et[1:][same], "n": 1}
         )
 
     pairs = bucketed_group_map(ev, ["user_id"], pair_partial, num_buckets=32)
-    agg = pairs.groupby(["event_type", "next_type"]).aggregate(
-        Sum("n", alias_name="n")
+    agg = fold_groups(pairs, ["event_type", "next_type"], [("n", "sum")])
+    return pd.DataFrame(
+        {"event_type": agg["event_type"].astype(str),
+         "next_type": agg["next_type"].astype(str),
+         "n": agg["n"].astype("int64")}
     )
-
-    def finalize(b: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame(
-            {"event_type": b["event_type"].astype(str),
-             "next_type": b["next_type"].astype(str),
-             "n": b["n"].astype("int64")}
-        )
-
-    return agg.map_batches(arrow_out(finalize), batch_format="pandas")
 
 
 TRANSITIONS_SQL = """
@@ -1257,8 +1224,8 @@ def events_funnel3(sf_dir: str):
              "n3": pd.array([len(t3)], "int64")}
         )
 
-    partials = bucketed_group_map(ev, ["user_id"], funnel_bucket).to_pandas()
-    tot = partials.sum()
+    tot = fold_groups(bucketed_group_map(ev, ["user_id"], funnel_bucket), [],
+                      [("n1", "sum"), ("n2", "sum"), ("n3", "sum")]).iloc[0]
     return pd.DataFrame(
         {"step": pd.array([1, 2, 3], "int64"),
          "event_type": pd.array(list(FUNNEL_STEPS), "str"),
@@ -1657,23 +1624,16 @@ WHERE len(regexp_extract_all(seq, 'vc+p')) > 0
 
 def events_share_of_total(sf_dir: str):
     """Per-event-type share of total value (the RATIO_TO_REPORT /
-    percent-of-total window shape): exact int-cent sums per type via the
-    batch combiner, one tiny groupby, one float division of two exact
-    integers per row — the engine's ratio contract."""
+    percent-of-total window shape): exact int-cent sums per type folded
+    by ``fold_groups``, one float division of two exact integers per
+    row — the engine's ratio contract."""
     import numpy as np
 
     ev = _events(sf_dir, ["event_type", "value"])
 
     def partial(b: pd.DataFrame) -> pd.DataFrame:
         c = np.rint(b["value"].to_numpy() * 100).astype("int64")
-        g = (
-            pd.DataFrame({"event_type": b["event_type"], "c": c})
-            .groupby("event_type", sort=False)["c"].sum()
-        )
-        return pd.DataFrame(
-            {"event_type": pd.array(g.index, "str"),
-             "c": pd.array(g.to_numpy(), "int64")}
-        )
+        return pd.DataFrame({"event_type": b["event_type"], "c": c})
 
     agg = fold_groups(  # one row per event type
         ev.map_batches(arrow_out(partial), batch_format="pandas"),
@@ -1839,11 +1799,10 @@ def events_decay(sf_dir: str):
     argument ``(T−t)/τ`` is exact-int subtraction then one double
     divide, mirrored term-for-term in the oracle.
 
-    Shape: per-batch (user, addend-sum, count) combiner → one tiny
-    groupby exchange."""
+    Shape: per-row (user, addend) columns → one ``bucketed_group_map``
+    on user_id (the result has a row per user, so it stays a
+    Dataset)."""
     import math
-
-    from ray.data.aggregate import Sum
 
     ev = _events(sf_dir, ["user_id", "ts", "value"])
 
@@ -1857,23 +1816,16 @@ def events_decay(sf_dir: str):
         addend = np.floor(
             b["value"].to_numpy("float64") * table[inv] * 1000000.0 + 0.5
         ).astype("int64")
-        out = (
-            pd.DataFrame({"user_id": b["user_id"].astype("int64"),
-                          "s": addend})
-            .groupby("user_id", sort=False)
-            .agg(decay_micro=("s", "sum"), n_events=("s", "size"))
-            .reset_index()
-        )
-        out["decay_micro"] = out["decay_micro"].astype("int64")
-        out["n_events"] = out["n_events"].astype("int64")
-        return out
+        return pd.DataFrame({"user_id": b["user_id"].astype("int64"),
+                             "decay_micro": addend, "n_events": 1})
 
-    return (
-        ev.map_batches(arrow_out(partial), batch_format="pandas")
-        .groupby("user_id")
-        .aggregate(Sum("decay_micro", alias_name="decay_micro"),
-                   Sum("n_events", alias_name="n_events"))
-    )
+    def per_user(g: pd.DataFrame) -> pd.DataFrame:
+        return g.groupby("user_id", sort=False, as_index=False)[
+            ["decay_micro", "n_events"]].sum()
+
+    return bucketed_group_map(  # one row per user: stays a Dataset
+        ev.map_batches(arrow_out(partial), batch_format="pandas"),
+        ["user_id"], per_user)
 
 
 DECAY_SQL = f"""
@@ -1908,15 +1860,8 @@ def events_chisq(sf_dir: str) -> pd.DataFrame:
     ev = _events(sf_dir, ["event_type", "user_id"])
 
     def partial(b: pd.DataFrame) -> pd.DataFrame:
-        out = (
-            pd.DataFrame({"event_type": b["event_type"].astype(str),
-                          "seg": (b["user_id"].to_numpy("int64") % 2)})
-            .groupby(["event_type", "seg"], sort=False)
-            .size().rename("o").reset_index()
-        )
-        out["o"] = out["o"].astype("int64")
-        out["seg"] = out["seg"].astype("int64")
-        return out
+        return pd.DataFrame({"event_type": b["event_type"].astype(str),
+                             "seg": b["user_id"].to_numpy("int64") % 2, "o": 1})
 
     cells = fold_groups(  # bounded: |types| × 2 rows
         ev.map_batches(arrow_out(partial), batch_format="pandas"),
@@ -2269,12 +2214,9 @@ def events_ttest(sf_dir: str):
         import numpy as np
 
         q = np.rint(b["value"].to_numpy() * 100).astype("int64")
-        df = pd.DataFrame({"t": b["event_type"], "q": q, "qq": q * q})
-        g = (
-            df.groupby("t", sort=False)
-            .agg(n=("q", "size"), s=("q", "sum"), ssq=("qq", "sum"))
-            .reset_index()
-        )
+        g = group_frame(
+            pd.DataFrame({"t": b["event_type"], "n": 1, "s": q, "ssq": q * q}),
+            ["t"], [("n", "sum"), ("s", "sum"), ("ssq", "sum")])
         vals = [int(v) for v in g["ssq"]]
         g["ssq_lo"] = pd.array([v % LIMB for v in vals], "int64")
         g["ssq_hi"] = pd.array([v // LIMB for v in vals], "int64")
@@ -2377,16 +2319,9 @@ def events_ks_test(sf_dir: str):
             ["c1", "c2"]].sum(),
     ).materialize()  # distinct-value census; two passes
 
-    bc = (
-        keyed.map_batches(
-            arrow_out(lambda b: b.groupby("vbucket", sort=False,
-                                          as_index=False)[["c1", "c2"]]
-                      .sum()),
-            batch_format="pandas",
-        )
-        .to_pandas()
-        .groupby("vbucket")[["c1", "c2"]].sum().sort_index()
-    )
+    bc = fold_groups(  # ≤ range-buckets rows
+        keyed.select_columns(["vbucket", "c1", "c2"]), ["vbucket"],
+        [("c1", "sum"), ("c2", "sum")]).set_index("vbucket")
     n1, n2 = int(bc["c1"].sum()), int(bc["c2"].sum())
     off1 = bc["c1"].cumsum().shift(fill_value=0)
     off2 = bc["c2"].cumsum().shift(fill_value=0)
@@ -2405,10 +2340,11 @@ def events_ks_test(sf_dir: str):
             best = max(best, int(d))
         return pd.DataFrame({"d": pd.array([best], "int64")})
 
-    parts = bucketed_group_map(keyed, ["vbucket"], max_bucket).to_pandas()
+    d_num = fold_groups(bucketed_group_map(keyed, ["vbucket"], max_bucket),
+                        [], [("d", "max")])["d"].iloc[0]
     return pd.DataFrame(
         {"n1": pd.array([n1], "int64"), "n2": pd.array([n2], "int64"),
-         "d_num": pd.array([int(parts["d"].max())], "int64")}
+         "d_num": pd.array([int(d_num)], "int64")}
     )
 
 
@@ -2549,15 +2485,11 @@ def events_daily_autocorr(sf_dir: str):
 
     def census_partial(b: pd.DataFrame) -> pd.DataFrame:
         d = b["ts"].to_numpy().astype("datetime64[D]").view("int64")
-        u, c = np.unique(d, return_counts=True)
-        return pd.DataFrame({"d": pd.array(u, "int64"),
-                             "c": pd.array(c.astype("int64"), "int64")})
+        return pd.DataFrame({"d": d, "c": 1})
 
-    cen = (
-        ev.map_batches(arrow_out(census_partial), batch_format="pandas")
-        .to_pandas()  # calendar-bounded artifact
-        .groupby("d")["c"].sum()
-    )
+    cen = fold_groups(  # calendar-bounded artifact
+        ev.map_batches(arrow_out(census_partial), batch_format="pandas"),
+        ["d"], [("c", "sum")]).set_index("d")["c"]
     lo, hi = int(cen.index.min()), int(cen.index.max())
     dense = np.zeros(hi - lo + 1, dtype="int64")
     dense[cen.index.to_numpy("int64") - lo] = cen.to_numpy("int64")
@@ -2640,7 +2572,7 @@ def events_bursts(sf_dir: str):
     anywhere and parity is unconditional.  Only days with a full
     trailing window qualify.
 
-    Shape: additive per-batch day-census partials fold into the
+    Shape: per-row day columns fold (``fold_groups``) into the
     calendar-bounded artifact (one row per active day at ANY scale
     factor); the dense spine, sliding sums and the integer predicate
     run on that bounded series driver-side."""
@@ -2650,15 +2582,11 @@ def events_bursts(sf_dir: str):
 
     def census_partial(b: pd.DataFrame) -> pd.DataFrame:
         d = b["ts"].to_numpy().astype("datetime64[D]").view("int64")
-        u, c = np.unique(d, return_counts=True)
-        return pd.DataFrame({"d": pd.array(u, "int64"),
-                             "c": pd.array(c.astype("int64"), "int64")})
+        return pd.DataFrame({"d": d, "c": 1})
 
-    cen = (
-        ev.map_batches(arrow_out(census_partial), batch_format="pandas")
-        .to_pandas()  # calendar-bounded artifact
-        .groupby("d")["c"].sum()
-    )
+    cen = fold_groups(  # calendar-bounded artifact
+        ev.map_batches(arrow_out(census_partial), batch_format="pandas"),
+        ["d"], [("c", "sum")]).set_index("d")["c"]
     lo, hi = int(cen.index.min()), int(cen.index.max())
     dense = np.zeros(hi - lo + 1, dtype="int64")
     dense[cen.index.to_numpy("int64") - lo] = cen.to_numpy("int64")
@@ -2801,7 +2729,7 @@ def events_gap_histogram(sf_dir: str):
     cadence profile behind session-timeout and watermark tuning.
 
     Shape: one user_id exchange for the LAG (user-complete buckets),
-    then a ≤20-cell census combiner."""
+    then a ≤20-cell ``fold_groups`` census."""
     import numpy as np
     import pandas as pd
 
@@ -2818,23 +2746,11 @@ def events_gap_histogram(sf_dir: str):
                                  "n_gaps": pd.array([], "int64")})
         digits = np.char.str_len(
             gap.to_numpy("int64").astype("int64").astype(str))
-        u, c = np.unique(digits, return_counts=True)
-        return pd.DataFrame(
-            {"digits": pd.array(u.astype("int64"), "int64"),
-             "n_gaps": pd.array(c.astype("int64"), "int64")}
-        )
+        return pd.DataFrame({"digits": digits.astype("int64"), "n_gaps": 1})
 
-    partials = bucketed_group_map(ev, ["user_id"], bucket)
-    return (
-        partials.groupby("digits")
-        .sum("n_gaps")
-        .map_batches(
-            arrow_out(lambda b: b.rename(
-                columns={"sum(n_gaps)": "n_gaps"}).astype(
-                {"digits": "int64", "n_gaps": "int64"})),
-            batch_format="pandas",
-        )
-    )
+    return fold_groups(  # ≤ 20 rows: int64 gaps have ≤ 19 digits
+        bucketed_group_map(ev, ["user_id"], bucket), ["digits"],
+        [("n_gaps", "sum")])
 
 
 GAP_HISTOGRAM_SQL = """
@@ -2939,8 +2855,9 @@ FROM allp
 def events_hourly_profile(sf_dir: str):
     """Hour-of-day × event-type activity profile with each cell's share
     of its type (exact basis points) — the diurnal-seasonality fingerprint
-    (alert baselining, send-time optimization).  A ≤24×|types| perfect
-    combiner; the share is ``n·10⁴ // type_total`` on two exact ints."""
+    (alert baselining, send-time optimization).  A ≤24×|types|
+    ``fold_groups`` census; the share is ``n·10⁴ // type_total`` on two
+    exact ints."""
     import numpy as np
     import pandas as pd
 
@@ -2948,15 +2865,11 @@ def events_hourly_profile(sf_dir: str):
 
     def partial(b: pd.DataFrame) -> pd.DataFrame:
         hrs = b["ts"].dt.hour.to_numpy().astype("int64")
-        return (pd.DataFrame({"event_type": b["event_type"], "hour": hrs})
-                .groupby(["event_type", "hour"], sort=False)
-                .size().rename("n").reset_index())
+        return pd.DataFrame({"event_type": b["event_type"], "hour": hrs, "n": 1})
 
-    cells = (
-        ev.map_batches(arrow_out(partial), batch_format="pandas")
-        .to_pandas()  # ≤ batches × 24 × types
-        .groupby(["event_type", "hour"], as_index=False)["n"].sum()
-    )
+    cells = fold_groups(  # ≤ 24 × |types| rows
+        ev.map_batches(arrow_out(partial), batch_format="pandas"),
+        ["event_type", "hour"], [("n", "sum")])
     tot = cells.groupby("event_type")["n"].transform("sum")
     return pd.DataFrame(
         {"event_type": pd.array(cells["event_type"], "str"),
@@ -2991,8 +2904,8 @@ def events_mutual_info(sf_dir: str) -> pd.DataFrame:
     mattering, ln from the same glibc on both engines, final double
     expression mirrored term-for-term in the oracle).
 
-    Shape: per-batch (type, hour) count combiner → ≤ |types|×24-row
-    driver fold (marginals and total derive from the same cells —
+    Shape: per-row (type, hour) columns → ≤ |types|×24-row
+    ``fold_groups`` census (marginals and total derive from the same cells —
     ONE pass, ZERO exchanges)."""
     import math
 
@@ -3002,15 +2915,11 @@ def events_mutual_info(sf_dir: str) -> pd.DataFrame:
 
     def partial(b: pd.DataFrame) -> pd.DataFrame:
         hrs = b["ts"].dt.hour.to_numpy().astype("int64")
-        return (pd.DataFrame({"event_type": b["event_type"], "hour": hrs})
-                .groupby(["event_type", "hour"], sort=False)
-                .size().rename("n").reset_index())
+        return pd.DataFrame({"event_type": b["event_type"], "hour": hrs, "n": 1})
 
-    cells = (
-        ev.map_batches(arrow_out(partial), batch_format="pandas")
-        .to_pandas()  # ≤ batches × |types| × 24
-        .groupby(["event_type", "hour"], as_index=False)["n"].sum()
-    )
+    cells = fold_groups(  # ≤ 24 × |types| rows
+        ev.map_batches(arrow_out(partial), batch_format="pandas"),
+        ["event_type", "hour"], [("n", "sum")])
 
     def micro_terms(counts: np.ndarray) -> int:
         c = counts.astype("int64")
@@ -3190,11 +3099,8 @@ def events_cusum(sf_dir: str) -> pd.DataFrame:
     def partial(b: pd.DataFrame) -> pd.DataFrame:
         day = (b["ts"].to_numpy().astype("datetime64[us]").astype("int64")
                // DAY_US)
-        return (pd.DataFrame({"event_type": b["event_type"].to_numpy(),
-                              "d": day})
-                .groupby(["event_type", "d"], sort=False)
-                .size().rename("n").reset_index()
-                .astype({"d": "int64", "n": "int64"}))
+        return pd.DataFrame({"event_type": b["event_type"].to_numpy(),
+                             "d": day, "n": 1})
 
     census = fold_groups(  # ≤ |types| × #days rows — calendar-bounded
         ev.map_batches(arrow_out(partial), batch_format="pandas"),
@@ -3342,16 +3248,9 @@ def events_mannwhitney(sf_dir: str) -> pd.DataFrame:
             ["c1", "c2"]].sum(),
     ).materialize()  # distinct-value census; two passes
 
-    bc = (
-        keyed.map_batches(
-            arrow_out(lambda b: b.groupby("vbucket", sort=False,
-                                          as_index=False)[["c1", "c2"]]
-                      .sum()),
-            batch_format="pandas",
-        )
-        .to_pandas()
-        .groupby("vbucket")[["c1", "c2"]].sum().sort_index()
-    )
+    bc = fold_groups(  # ≤ range-buckets rows
+        keyed.select_columns(["vbucket", "c1", "c2"]), ["vbucket"],
+        [("c1", "sum"), ("c2", "sum")]).set_index("vbucket")
     n1, n2 = int(bc["c1"].sum()), int(bc["c2"].sum())
     tot_off = (bc["c1"] + bc["c2"]).cumsum().shift(fill_value=0)
     off_ref = ray.put({int(vb): int(o) for vb, o in zip(bc.index, tot_off)})
@@ -3367,8 +3266,9 @@ def events_mannwhitney(sf_dir: str) -> pd.DataFrame:
             acc += int((c1 * (2 * s_prior + t + 1)).sum())
         return pd.DataFrame({"acc": pd.array([acc], "int64")})
 
-    parts = bucketed_group_map(keyed, ["vbucket"], contrib_bucket).to_pandas()
-    two_rank_sum = int(parts["acc"].sum())
+    two_rank_sum = int(fold_groups(
+        bucketed_group_map(keyed, ["vbucket"], contrib_bucket), [],
+        [("acc", "sum")])["acc"].iloc[0])
     u2_a = two_rank_sum - n1 * (n1 + 1)
     u2_b = 2 * n1 * n2 - u2_a
     return pd.DataFrame(
@@ -3419,14 +3319,11 @@ def events_geomean(sf_dir: str) -> pd.DataFrame:
     DIVISION (exp(Σ/n) is one client-side call away).  ln computed once
     per DISTINCT cent via glibc ``math.log`` (≡ DuckDB ``std::log``).
 
-    Shape: pure per-batch combiner (addends are per-occurrence sums of
-    per-distinct values — exact within any batch split), one tiny
-    |types|-row groupby."""
+    Shape: per-row integer addends (exact under any batch split), one
+    |types|-row ``fold_groups`` census."""
     import math
 
     import numpy as np
-
-    from ray.data.aggregate import Sum
 
     ev = _events(sf_dir, ["event_type", "value"])
 
@@ -3438,23 +3335,11 @@ def events_geomean(sf_dir: str) -> pd.DataFrame:
         u, inv = np.unique(c, return_inverse=True)
         lu = np.array([math.floor(math.log(float(x)) * 1_000_000 + 0.5)
                        for x in u], dtype="int64")
-        out = (pd.DataFrame({"event_type": t, "s": lu[inv], "n": 1})
-               .groupby("event_type", sort=False, as_index=False)
-               .agg(n=("n", "sum"), ln_sum_micro=("s", "sum")))
-        return out.astype({"n": "int64", "ln_sum_micro": "int64",
-                           "event_type": "str"})
+        return pd.DataFrame({"event_type": t, "n": 1, "ln_sum_micro": lu[inv]})
 
-    return (
-        ev.map_batches(arrow_out(partial), batch_format="pandas")
-        .groupby("event_type")
-        .aggregate(Sum("n", alias_name="n"),
-                   Sum("ln_sum_micro", alias_name="ln_sum_micro"))
-        .map_batches(
-            arrow_out(lambda b: b.astype(
-                {"n": "int64", "ln_sum_micro": "int64"})),
-            batch_format="pandas",
-        )
-    )
+    return fold_groups(  # ≤ |types| rows
+        ev.map_batches(arrow_out(partial), batch_format="pandas"),
+        ["event_type"], [("n", "sum"), ("ln_sum_micro", "sum")])
 
 
 GEOMEAN_SQL = """
@@ -3500,7 +3385,7 @@ def events_kaplan_meier(sf_dir: str):
     from ..stages.windows import SESSION_GAP_MIN
 
     ev = _events(sf_dir, ["user_id", "event_id", "ts"])
-    mx = _events(sf_dir, ["ts"]).max("ts")
+    mx = fold_groups(_events(sf_dir, ["ts"]), [], [("ts", "max")])["ts"].iloc[0]
     horizon = pd.Timestamp(mx) - pd.Timedelta(minutes=SESSION_GAP_MIN)
 
     def census_bucket(g: pd.DataFrame) -> pd.DataFrame:
@@ -3517,20 +3402,12 @@ def events_kaplan_meier(sf_dir: str):
         dur = (us - per["start"].to_numpy().astype("datetime64[us]")
                .astype("int64")) // 1_000_000
         death = (per["end"] < horizon).to_numpy()
-        return (
-            pd.DataFrame({"dur": dur, "deaths": death.astype("int64"), "n": 1})
-            .groupby("dur", sort=False, as_index=False)
-            .agg(deaths=("deaths", "sum"), tot=("n", "sum"))
-            .astype({"dur": "int64", "deaths": "int64", "tot": "int64"})
-        )
+        return pd.DataFrame({"dur": dur.astype("int64"),
+                             "deaths": death.astype("int64"), "tot": 1})
 
-    census = bucketed_group_map(ev, ["user_id"], census_bucket).to_pandas()
-    c = (
-        census.groupby("dur", as_index=False)
-        .agg(deaths=("deaths", "sum"), tot=("tot", "sum"))
-        .sort_values("dur", kind="mergesort")
-        .reset_index(drop=True)
-    )
+    c = fold_groups(  # ≤ distinct durations
+        bucketed_group_map(ev, ["user_id"], census_bucket), ["dur"],
+        [("deaths", "sum"), ("tot", "sum")])
     total = int(c["tot"].sum())
     below = np.concatenate(([0], np.cumsum(c["tot"].to_numpy("int64"))[:-1]))
     n_risk = total - below
@@ -3617,7 +3494,7 @@ def events_markov_stationary(sf_dir: str, iters: int = 60):
     one arithmetic path; probabilities rounded 6 dp.  Rows-only
     (iterative fixpoint — no SQL oracle); pytest pins πP = π and
     Σπ = 1."""
-    t = events_transitions(sf_dir).to_pandas()  # |types|² bounded
+    t = events_transitions(sf_dir)  # |types|² bounded
     types = sorted(set(t["event_type"]) | set(t["next_type"]))
     idx = {s: i for i, s in enumerate(types)}
     k = len(types)
@@ -3711,8 +3588,6 @@ def events_path_trigrams(sf_dir: str):
     user of a stream lives in one bucket), so the second exchange is the
     ≤|types|³-key census fold; top-k (n desc, trigram asc) is total and
     parallelism-invariant."""
-    from ray.data.aggregate import Sum
-
     from ..stages.shuffle import bucketed_group_map
 
     ev = _events(sf_dir, ["event_id", "user_id", "ts", "event_type"])
@@ -3739,22 +3614,14 @@ def events_path_trigrams(sf_dir: str):
         return agg.astype({"n": "int64", "n_users": "int64"})
 
     partials = bucketed_group_map(ev, ["user_id"], partial, num_buckets=32)
-    agg = partials.groupby(["t1", "t2", "t3"]).aggregate(
-        Sum("n", alias_name="n"), Sum("n_users", alias_name="n_users")
-    )
-
-    def finalize(b: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame(
-            {"t1": b["t1"].astype(str), "t2": b["t2"].astype(str),
-             "t3": b["t3"].astype(str),
-             "n": b["n"].astype("int64"),
-             "n_users": b["n_users"].astype("int64")}
-        )
-
+    agg = fold_groups(  # ≤ |types|³ rows
+        partials, ["t1", "t2", "t3"], [("n", "sum"), ("n_users", "sum")])
     return (
-        agg.map_batches(arrow_out(finalize), batch_format="pandas")
-        .sort(["n", "t1", "t2", "t3"], descending=[True, False, False, False])
-        .limit(TRIGRAM_TOP_K)
+        agg.astype({"t1": str, "t2": str, "t3": str})
+        .sort_values(["n", "t1", "t2", "t3"],
+                     ascending=[False, True, True, True], kind="mergesort")
+        .head(TRIGRAM_TOP_K)
+        .reset_index(drop=True)
     )
 
 
@@ -3799,10 +3666,10 @@ def events_anova(sf_dir: str) -> pd.DataFrame:
         # per-row c² ≤ ~1e10 and per-batch Σc² ≤ 4096·1e10 ≪ 2⁶³: int64
         # is exact inside a batch; the LIMB split below keeps the
         # cross-batch fold exact past int64
-        df = pd.DataFrame({"t": b["event_type"].to_numpy(), "c": c,
-                           "cc": c * c})
-        g = df.groupby("t", sort=False).agg(
-            n=("c", "size"), s=("c", "sum"), q=("cc", "sum")).reset_index()
+        g = group_frame(
+            pd.DataFrame({"t": b["event_type"].to_numpy(), "n": 1, "s": c,
+                          "q": c * c}),
+            ["t"], [("n", "sum"), ("s", "sum"), ("q", "sum")])
         q = g["q"].to_numpy("int64")
         return pd.DataFrame(
             {"t": pd.array(g["t"], "str"),
@@ -3896,20 +3763,20 @@ def events_psi(sf_dir: str):
       nano via ``floor(x·1e9 + 0.5)`` so the sum is exact int64 and
       summation order never matters (the ``events_entropy`` recipe).
 
-    Shape: one ts-only min/max pass (bounded), then ONE full scan with
-    a per-batch (type, period, bin) combiner — the exchange carries
-    ≤ types×2×B rows per batch; finalize is driver-side on the bounded
-    census."""
+    Shape: one ts-only min/max pass (bounded), then ONE full scan whose
+    per-row (type, period, bin) columns fold into a ≤ types×2×B census;
+    finalize is driver-side on that census."""
     import math
 
-    from ray.data.aggregate import Max, Min
+    import pyarrow as pa
 
-    ts_stats = (
-        _events(sf_dir, ["ts"])
-        .aggregate(Min("ts"), Max("ts"))
-    )
-    lo = pd.Timestamp(ts_stats["min(ts)"]).value // 1000  # ns → µs
-    hi = pd.Timestamp(ts_stats["max(ts)"]).value // 1000
+    ts_stats = fold_groups(
+        _events(sf_dir, ["ts"]).map_batches(
+            lambda t: pa.table({"lo": t["ts"], "hi": t["ts"]}),
+            batch_format="pyarrow"),
+        [], [("lo", "min"), ("hi", "max")]).iloc[0]
+    lo = pd.Timestamp(ts_stats["lo"]).value // 1000  # ns → µs
+    hi = pd.Timestamp(ts_stats["hi"]).value // 1000
     mid = lo + (hi - lo) // 2
 
     def partial(b: pd.DataFrame) -> pd.DataFrame:
@@ -3917,21 +3784,13 @@ def events_psi(sf_dir: str):
         period = (us > mid).astype("int64")
         cents = np.rint(b["value"].to_numpy() * 100).astype("int64")
         bins = np.minimum(cents // PSI_BIN_CENTS, PSI_BINS - 1)
-        return (
-            pd.DataFrame(
-                {"event_type": b["event_type"], "period": period, "bin": bins}
-            )
-            .groupby(["event_type", "period", "bin"], sort=False)
-            .size().rename("n").reset_index()
-        )
+        return pd.DataFrame({"event_type": b["event_type"], "period": period,
+                             "bin": bins, "n": 1})
 
-    census = (
+    census = fold_groups(  # ≤ types×2×B rows — bounded artifact
         _events(sf_dir, ["event_type", "ts", "value"])
-        .map_batches(arrow_out(partial), batch_format="pandas")
-        .to_pandas()  # ≤ types×2×B rows per batch — bounded artifact
-        .groupby(["event_type", "period", "bin"], sort=False)["n"]
-        .sum().reset_index()
-    )
+        .map_batches(arrow_out(partial), batch_format="pandas"),
+        ["event_type", "period", "bin"], [("n", "sum")])
 
     out_rows = []
     for etype, g in census.groupby("event_type", sort=True):
@@ -4084,12 +3943,9 @@ def events_linear_attrib(sf_dir: str):
              "credit_micro": pd.array([r[2] for r in rows], "int64")}
         )
 
-    partials = bucketed_group_map(ev, ["user_id"], bucket).to_pandas()
-    agg = (
-        partials.groupby("event_type", sort=True)
-        .agg(n_windows=("n_windows", "sum"), credit_micro=("credit_micro", "sum"))
-        .reset_index()
-    )
+    agg = fold_groups(  # ≤ |types| rows
+        bucketed_group_map(ev, ["user_id"], bucket), ["event_type"],
+        [("n_windows", "sum"), ("credit_micro", "sum")])
     return pd.DataFrame(
         {"event_type": pd.array(agg["event_type"], "str"),
          "n_windows": agg["n_windows"].astype("int64"),
@@ -4224,16 +4080,12 @@ def events_peak_concurrency(sf_dir: str) -> pd.DataFrame:
                                + pd.Timedelta(minutes=1),
                           "delta": np.int64(-1)}),
         ], ignore_index=True)
-        out = d.groupby("m", sort=False)["delta"].sum().reset_index()
-        out["m"] = out["m"].to_numpy().astype("datetime64[us]")
-        out["delta"] = out["delta"].astype("int64")
-        return out
+        d["m"] = d["m"].to_numpy().astype("datetime64[us]")
+        return d
 
-    census = (
-        bucketed_group_map(ev, ["user_id"], bucket)
-        .to_pandas()  # bounded by minutes-with-changes, not rows
-        .groupby("m", sort=True)["delta"].sum()
-    )
+    census = fold_groups(  # bounded by minutes-with-changes, not rows
+        bucketed_group_map(ev, ["user_id"], bucket), ["m"], [("delta", "sum")]
+    ).set_index("m")["delta"]
     conc = census.cumsum()
     top = (
         conc.reset_index(name="concurrency")
@@ -4299,23 +4151,16 @@ def events_wilson(sf_dir: str) -> pd.DataFrame:
 
     def bucket(g: pd.DataFrame) -> pd.DataFrame:
         d = g.drop_duplicates(["user_id", "event_type"])
-        per_type = (
-            d.groupby("event_type", sort=False).size().rename("x").reset_index()
-        )
-        sentinel = pd.DataFrame(
-            {"event_type": [""], "x": [g["user_id"].nunique()]}
-        )
-        out = pd.concat([per_type, sentinel], ignore_index=True)
-        out["event_type"] = out["event_type"].astype(str)
-        out["x"] = out["x"].astype("int64")
-        return out
+        users = g.drop_duplicates("user_id")
+        return pd.DataFrame(
+            {"event_type": np.concatenate([d["event_type"].astype(str).to_numpy(),
+                                           np.full(len(users), "", object)]),
+             "x": 1})
 
-    parts = bucketed_group_map(ev, ["user_id"], bucket).to_pandas()
+    parts = fold_groups(  # ≤ |types| + 1 rows
+        bucketed_group_map(ev, ["user_id"], bucket), ["event_type"], [("x", "sum")])
     total = int(parts.loc[parts["event_type"] == "", "x"].sum())
-    agg = (
-        parts[parts["event_type"] != ""]
-        .groupby("event_type", sort=True)["x"].sum().reset_index()
-    )
+    agg = parts[parts["event_type"] != ""].reset_index(drop=True)
     x = agg["x"].to_numpy("int64").astype("float64")
     n = float(total)
     p = x / n
@@ -4375,29 +4220,7 @@ def events_absorbing(sf_dir: str) -> pd.DataFrame:
     form); ``tests/test_absorbing.py`` pins the solve against a
     hand-built chain, the defining identity (I−Q)·t = 1, and census
     exactness (parallelism-invariant by construction)."""
-    from ..stages.shuffle import bucketed_group_map
-
-    ev = _events(sf_dir, ["event_id", "user_id", "ts", "event_type"])
-
-    def pair_partial(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["user_id", "ts", "event_id"], kind="mergesort")
-        user = g["user_id"].to_numpy()
-        et = g["event_type"].to_numpy()
-        same = user[:-1] == user[1:]
-        df = pd.DataFrame(
-            {"event_type": et[:-1][same], "next_type": et[1:][same]}
-        )
-        return (
-            df.groupby(["event_type", "next_type"], sort=False)
-            .size().rename("n").reset_index()
-        )
-
-    census = (
-        bucketed_group_map(ev, ["user_id"], pair_partial, num_buckets=32)
-        .to_pandas()  # ≤ |types|²·buckets rows
-        .groupby(["event_type", "next_type"], sort=True)["n"].sum().reset_index()
-    )
-    return absorbing_expected_steps(census)
+    return absorbing_expected_steps(events_transitions(sf_dir))
 
 
 def absorbing_expected_steps(census: pd.DataFrame) -> pd.DataFrame:
@@ -4461,19 +4284,12 @@ def events_bounce_rate(sf_dir: str) -> pd.DataFrame:
         sess_id = np.cumsum(new_sess)
         sizes = np.bincount(sess_id)[1:]  # sessions are 1-indexed
         entry_type = s["event_type"].to_numpy()[new_sess]
-        return (
-            pd.DataFrame({"entry_type": entry_type, "bounce": (sizes == 1)})
-            .groupby("entry_type", sort=False)
-            .agg(n_sessions=("bounce", "size"), n_bounces=("bounce", "sum"))
-            .reset_index()
-        )
+        return pd.DataFrame({"entry_type": entry_type, "n_sessions": 1,
+                             "n_bounces": (sizes == 1).astype("int64")})
 
-    parts = bucketed_group_map(ev, ["user_id"], bucket).to_pandas()
-    agg = (
-        parts.groupby("entry_type", sort=True)
-        .agg(n_sessions=("n_sessions", "sum"), n_bounces=("n_bounces", "sum"))
-        .reset_index()
-    )
+    agg = fold_groups(  # ≤ |types| rows
+        bucketed_group_map(ev, ["user_id"], bucket), ["entry_type"],
+        [("n_sessions", "sum"), ("n_bounces", "sum")])
     return pd.DataFrame(
         {"entry_type": pd.array(agg["entry_type"], "str"),
          "n_sessions": agg["n_sessions"].astype("int64"),
@@ -4534,13 +4350,11 @@ def events_cuped(sf_dir: str) -> pd.DataFrame:
     # pass 1: global µs time bounds (cheap column census)
     def bounds(b: pd.DataFrame) -> pd.DataFrame:
         t = b["ts"].to_numpy("datetime64[us]").astype("int64")
-        if not len(t):
-            return pd.DataFrame({"lo": pd.array([], "int64"),
-                                 "hi": pd.array([], "int64")})
-        return pd.DataFrame({"lo": [int(t.min())], "hi": [int(t.max())]})
+        return pd.DataFrame({"lo": t, "hi": t})
 
-    bf = ev.map_batches(arrow_out(bounds), batch_format="pandas").to_pandas()
-    lo, hi = int(bf["lo"].min()), int(bf["hi"].max())
+    bf = fold_groups(ev.map_batches(arrow_out(bounds), batch_format="pandas"),
+                     [], [("lo", "min"), ("hi", "max")])
+    lo, hi = int(bf["lo"].iloc[0]), int(bf["hi"].iloc[0])
     mid = (lo + hi) // 2
 
     def bucket(g: pd.DataFrame) -> pd.DataFrame:
@@ -4560,17 +4374,12 @@ def events_cuped(sf_dir: str) -> pd.DataFrame:
         ).astype("int64")
         x = per_user["x"].to_numpy("int64")
         y = per_user["y"].to_numpy("int64")
-        rows = []
-        for v in (0, 1):
-            m = variant == v
-            rows.append((v, int(m.sum()), int(x[m].sum()), int(y[m].sum()),
-                         int((x[m] * y[m]).sum()), int((x[m] * x[m]).sum())))
-        return pd.DataFrame(
-            rows, columns=["variant", "n", "sx", "sy", "sxy", "sxx"]
-        ).astype("int64")
+        return pd.DataFrame({"variant": variant, "n": 1, "sx": x, "sy": y,
+                             "sxy": x * y, "sxx": x * x})
 
-    parts = bucketed_group_map(ev, ["user_id"], bucket).to_pandas()
-    agg = parts.groupby("variant", sort=True).sum().reset_index()
+    agg = fold_groups(  # two variant rows
+        bucketed_group_map(ev, ["user_id"], bucket), ["variant"],
+        [(c, "sum") for c in ("n", "sx", "sy", "sxy", "sxx")])
     n = float(agg["n"].sum())
     sx = float(agg["sx"].sum())
     sy = float(agg["sy"].sum())
@@ -4645,8 +4454,6 @@ def events_sankey(sf_dir: str):
     flow keys are ``steps·|types|²`` bounded."""
     import numpy as np
 
-    from ray.data.aggregate import Sum
-
     from ..stages.shuffle import bucketed_group_map
 
     ev = _events(sf_dir, ["event_id", "user_id", "ts", "event_type"])
@@ -4664,28 +4471,20 @@ def events_sankey(sf_dir: str):
             seg_start = np.maximum.accumulate(np.where(new, rn, -1))
         step = rn - seg_start + 1
         keep = same & (step[:-1] <= SANKEY_STEPS)
-        df = pd.DataFrame(
+        return pd.DataFrame(
             {"step": step[:-1][keep], "from_type": et[:-1][keep],
-             "to_type": et[1:][keep]}
+             "to_type": et[1:][keep], "n": 1}
         )
-        out = (df.groupby(["step", "from_type", "to_type"], sort=False)
-               .size().rename("n").reset_index())
-        return out.astype({"step": "int64", "n": "int64"})
 
     flows = bucketed_group_map(ev, ["user_id"], flow_partial, num_buckets=32)
-    agg = flows.groupby(["step", "from_type", "to_type"]).aggregate(
-        Sum("n", alias_name="n")
+    agg = fold_groups(  # ≤ steps·|types|² rows
+        flows, ["step", "from_type", "to_type"], [("n", "sum")])
+    return pd.DataFrame(
+        {"step": agg["step"].astype("int64"),
+         "from_type": agg["from_type"].astype(str),
+         "to_type": agg["to_type"].astype(str),
+         "n": agg["n"].astype("int64")}
     )
-
-    def finalize(b: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame(
-            {"step": b["step"].astype("int64"),
-             "from_type": b["from_type"].astype(str),
-             "to_type": b["to_type"].astype(str),
-             "n": b["n"].astype("int64")}
-        )
-
-    return agg.map_batches(arrow_out(finalize), batch_format="pandas")
 
 
 EVENTS_SANKEY_SQL = f"""
@@ -4801,8 +4600,6 @@ def events_runlengths(sf_dir: str):
     census is |types|·max_run bounded."""
     import numpy as np
 
-    from ray.data.aggregate import Sum
-
     from ..stages.shuffle import bucketed_group_map
 
     ev = _events(sf_dir, ["event_id", "user_id", "ts", "event_type"])
@@ -4819,23 +4616,16 @@ def events_runlengths(sf_dir: str):
         new_run = np.r_[True, (user[1:] != user[:-1]) | (et[1:] != et[:-1])]
         starts = np.flatnonzero(new_run)
         lengths = np.diff(np.r_[starts, n])
-        df = pd.DataFrame({"event_type": et[starts],
-                           "run_length": lengths.astype("int64")})
-        out = (df.groupby(["event_type", "run_length"], sort=False)
-               .size().rename("n_runs").reset_index())
-        return out.astype({"run_length": "int64", "n_runs": "int64"})
+        return pd.DataFrame({"event_type": et[starts],
+                             "run_length": lengths.astype("int64"), "n_runs": 1})
 
     runs = bucketed_group_map(ev, ["user_id"], rle_partial, num_buckets=32)
-    agg = runs.groupby(["event_type", "run_length"]).aggregate(
-        Sum("n_runs", alias_name="n_runs"))
-
-    def finalize(b: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame(
-            {"event_type": b["event_type"].astype(str),
-             "run_length": b["run_length"].astype("int64"),
-             "n_runs": b["n_runs"].astype("int64")})
-
-    return agg.map_batches(arrow_out(finalize), batch_format="pandas")
+    agg = fold_groups(  # ≤ |types|·max_run rows
+        runs, ["event_type", "run_length"], [("n_runs", "sum")])
+    return pd.DataFrame(
+        {"event_type": agg["event_type"].astype(str),
+         "run_length": agg["run_length"].astype("int64"),
+         "n_runs": agg["n_runs"].astype("int64")})
 
 
 EVENTS_RUNLENGTHS_SQL = """
@@ -4875,11 +4665,8 @@ def events_fano(sf_dir: str):
         # int64 // ns-per-day on µs values collapses every day to 0)
         day = (pd.to_datetime(b["ts"]).to_numpy()
                .astype("datetime64[D]").view("int64"))
-        g = (pd.DataFrame({"event_type": b["event_type"].astype(str),
-                           "day": day, "n": 1})
-             .groupby(["event_type", "day"], sort=False, as_index=False)
-             ["n"].sum())
-        return g.astype({"day": "int64", "n": "int64"})
+        return pd.DataFrame({"event_type": b["event_type"].astype(str),
+                             "day": day, "n": 1})
 
     cen = fold_groups(
         ev.map_batches(arrow_out(partial), batch_format="pandas"),
@@ -4943,8 +4730,6 @@ def events_cooccur_window(sf_dir: str):
     bounded."""
     import numpy as np
 
-    from ray.data.aggregate import Sum
-
     from ..stages.shuffle import bucketed_group_map
 
     ev = _events(sf_dir, ["event_id", "user_id", "ts", "event_type"])
@@ -4976,23 +4761,16 @@ def events_cooccur_window(sf_dir: str):
         a, b = et[i_idx], et[j_idx]
         lo = np.where(a <= b, a, b)
         hi_t = np.where(a <= b, b, a)
-        df = pd.DataFrame({"type_a": lo, "type_b": hi_t})
-        out = (df.groupby(["type_a", "type_b"], sort=False)
-               .size().rename("n_pairs").reset_index())
-        return out.astype({"n_pairs": "int64"})
+        return pd.DataFrame({"type_a": lo, "type_b": hi_t, "n_pairs": 1})
 
     pairs = bucketed_group_map(ev, ["user_id"], pair_partial,
                                num_buckets=32)
-    agg = pairs.groupby(["type_a", "type_b"]).aggregate(
-        Sum("n_pairs", alias_name="n_pairs"))
-
-    def finalize(b: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame(
-            {"type_a": b["type_a"].astype(str),
-             "type_b": b["type_b"].astype(str),
-             "n_pairs": b["n_pairs"].astype("int64")})
-
-    return agg.map_batches(arrow_out(finalize), batch_format="pandas")
+    agg = fold_groups(  # ≤ |types|² rows
+        pairs, ["type_a", "type_b"], [("n_pairs", "sum")])
+    return pd.DataFrame(
+        {"type_a": agg["type_a"].astype(str),
+         "type_b": agg["type_b"].astype(str),
+         "n_pairs": agg["n_pairs"].astype("int64")})
 
 
 EVENTS_COOCCUR_WINDOW_SQL = """
@@ -5116,13 +4894,11 @@ def events_did(sf_dir: str) -> pd.DataFrame:
 
     def bounds(b: pd.DataFrame) -> pd.DataFrame:
         t = b["ts"].to_numpy("datetime64[us]").astype("int64")
-        if not len(t):
-            return pd.DataFrame({"lo": pd.array([], "int64"),
-                                 "hi": pd.array([], "int64")})
-        return pd.DataFrame({"lo": [int(t.min())], "hi": [int(t.max())]})
+        return pd.DataFrame({"lo": t, "hi": t})
 
-    bf = ev.map_batches(arrow_out(bounds), batch_format="pandas").to_pandas()
-    lo, hi = int(bf["lo"].min()), int(bf["hi"].max())
+    bf = fold_groups(ev.map_batches(arrow_out(bounds), batch_format="pandas"),
+                     [], [("lo", "min"), ("hi", "max")])
+    lo, hi = int(bf["lo"].iloc[0]), int(bf["hi"].iloc[0])
     mid = (lo + hi) // 2
 
     def bucket(g: pd.DataFrame) -> pd.DataFrame:
@@ -5140,17 +4916,13 @@ def events_did(sf_dir: str) -> pd.DataFrame:
             md5_int_vec_prefixed("did1", per_user["user_id"].to_numpy(),
                                  bits=32) % 2
         ).astype("int64")
-        rows = []
-        for v in (0, 1):
-            m = variant == v
-            rows.append((v, int(m.sum()),
-                         int(per_user["pre"].to_numpy("int64")[m].sum()),
-                         int(per_user["post"].to_numpy("int64")[m].sum())))
-        return pd.DataFrame(
-            rows, columns=["variant", "n", "s_pre", "s_post"]).astype("int64")
+        return pd.DataFrame({"variant": variant, "n": 1,
+                             "s_pre": per_user["pre"].to_numpy("int64"),
+                             "s_post": per_user["post"].to_numpy("int64")})
 
-    parts = bucketed_group_map(ev, ["user_id"], bucket).to_pandas()
-    agg = parts.groupby("variant", sort=True).sum().reset_index()
+    agg = fold_groups(  # two variant rows
+        bucketed_group_map(ev, ["user_id"], bucket), ["variant"],
+        [(c, "sum") for c in ("n", "s_pre", "s_post")])
     nv = agg["n"].to_numpy("int64").astype("float64")
     mpre = agg["s_pre"].to_numpy("int64").astype("float64") / nv
     mpost = agg["s_post"].to_numpy("int64").astype("float64") / nv
@@ -5351,9 +5123,8 @@ def events_markov_attribution(sf_dir: str) -> pd.DataFrame:
                              "dst": [b for _, b in ks],
                              "n": pd.array(list(rows.values()), "int64")})
 
-    parts = bucketed_group_map(ev, ["user_id"], census)
-    cen = (parts.to_pandas().groupby(["src", "dst"], as_index=False)["n"]
-           .sum())
+    cen = fold_groups(  # ≤ (|types| + 3)² rows
+        bucketed_group_map(ev, ["user_id"], census), ["src", "dst"], [("n", "sum")])
 
     channels = sorted((set(cen["src"]) | set(cen["dst"]))
                       - {"_START", "_CONV", "_NULL"})

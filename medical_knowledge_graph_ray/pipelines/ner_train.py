@@ -161,11 +161,7 @@ def kg_flagship_trained(sf_dir: str, *, out_root: str | None = None):
     )
 
     def census(b: pd.DataFrame) -> pd.DataFrame:
-        c = b.groupby(["subj_type", "pred", "obj_type"], sort=False).size()
-        out_ = c.reset_index()
-        out_.columns = ["subj_type", "pred", "obj_type", "n_triples"]
-        out_["n_triples"] = out_["n_triples"].astype("int64")
-        return out_
+        return b[["subj_type", "pred", "obj_type"]].dropna().assign(n_triples=1)
 
     out_df = fold_groups(  # ≤ types × predicates × types rows
         tri.map_batches(arrow_out(census), batch_format="pandas"),
@@ -314,11 +310,7 @@ def kg_flagship_neural(sf_dir: str, *, out_root: str | None = None):
     )
 
     def census(b: pd.DataFrame) -> pd.DataFrame:
-        c = b.groupby(["subj_type", "pred", "obj_type"], sort=False).size()
-        out_ = c.reset_index()
-        out_.columns = ["subj_type", "pred", "obj_type", "n_triples"]
-        out_["n_triples"] = out_["n_triples"].astype("int64")
-        return out_
+        return b[["subj_type", "pred", "obj_type"]].dropna().assign(n_triples=1)
 
     out_df = fold_groups(
         tri.map_batches(arrow_out(census), batch_format="pandas"),

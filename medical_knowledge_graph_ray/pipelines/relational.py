@@ -22,7 +22,7 @@ import pandas as pd
 import pyarrow.compute as pc
 
 from ..functions.arrow import arrow_out, read_parquet_clean
-from ..stages.shuffle import fold_groups
+from ..stages.shuffle import fold_groups, group_frame
 
 Q1_CUTOFF = "2001-09-01"
 Q3_SEGMENT = "BUILDING"
@@ -52,7 +52,7 @@ def _read_dim(sf_dir: str, table: str, columns=None) -> pd.DataFrame:
     return pq.read_table(f"{sf_dir}/{table}.parquet", columns=columns).to_pandas()
 
 
-# -- Q1: pricing summary (groupby aggregate with batch-local combiner) -------
+# -- Q1: pricing summary (per-row int-cent columns folded by fold_groups) ----
 
 def q1_pricing(sf_dir: str):
     li = _read(
@@ -74,38 +74,20 @@ def q1_pricing(sf_dir: str):
         disc_price_c = np.rint(price * (1.0 - disc) * 10_000).astype("int64")
         charge_c = np.rint(price * (1.0 - disc) * (1.0 + tax) * 1_000_000).astype("int64")
         disc_c = np.rint(disc * 100).astype("int64")
-        df = pd.DataFrame(
+        return pd.DataFrame(
             {
                 "l_returnflag": b["l_returnflag"],
                 "l_linestatus": b["l_linestatus"],
                 "qty_c": qty_c, "price_c": price_c, "disc_price_c": disc_price_c,
-                "charge_c": charge_c, "disc_c": disc_c,
+                "charge_c": charge_c, "disc_c": disc_c, "count_order": 1,
             }
         )
-        return (
-            df.groupby(["l_returnflag", "l_linestatus"], sort=False)
-            .agg(
-                qty_c=("qty_c", "sum"), price_c=("price_c", "sum"),
-                disc_price_c=("disc_price_c", "sum"), charge_c=("charge_c", "sum"),
-                disc_c=("disc_c", "sum"), n=("qty_c", "size"),
-            )
-            .reset_index()
-        )
 
-    from ray.data.aggregate import Sum
-
-    agg = (
-        li.map_batches(arrow_out(partial), batch_format="pandas")
-        .groupby(["l_returnflag", "l_linestatus"])
-        .aggregate(
-            Sum("qty_c", alias_name="qty_c"),
-            Sum("price_c", alias_name="price_c"),
-            Sum("disc_price_c", alias_name="disc_price_c"),
-            Sum("charge_c", alias_name="charge_c"),
-            Sum("disc_c", alias_name="disc_c"),
-            Sum("n", alias_name="count_order"),
-        )
-    )
+    agg = fold_groups(  # ≤ |returnflag| × |linestatus| rows
+        li.map_batches(arrow_out(partial), batch_format="pandas"),
+        ["l_returnflag", "l_linestatus"],
+        [("qty_c", "sum"), ("price_c", "sum"), ("disc_price_c", "sum"),
+         ("charge_c", "sum"), ("disc_c", "sum"), ("count_order", "sum")])
 
     def finalize(df: pd.DataFrame) -> pd.DataFrame:
         n = df["count_order"]
@@ -124,9 +106,7 @@ def q1_pricing(sf_dir: str):
             }
         )
 
-    return agg.map_batches(finalize, batch_format="pandas").sort(
-        ["l_returnflag", "l_linestatus"]
-    )
+    return finalize(agg)
 
 
 def q1_rollup(sf_dir: str) -> pd.DataFrame:
@@ -150,7 +130,7 @@ def q1_rollup(sf_dir: str) -> pd.DataFrame:
     )
 
     def partial(b: pd.DataFrame) -> pd.DataFrame:
-        df = pd.DataFrame(
+        return pd.DataFrame(
             {
                 "l_returnflag": b["l_returnflag"],
                 "l_linestatus": b["l_linestatus"],
@@ -158,23 +138,17 @@ def q1_rollup(sf_dir: str) -> pd.DataFrame:
                 "price_c": np.rint(
                     b["l_extendedprice"].to_numpy() * 100
                 ).astype("int64"),
+                "n": 1,
             }
         )
-        return (
-            df.groupby(["l_returnflag", "l_linestatus"], sort=False)
-            .agg(qty_c=("qty_c", "sum"), price_c=("price_c", "sum"),
-                 n=("qty_c", "size"))
-            .reset_index()
-        )
 
+    sums = [("qty_c", "sum"), ("price_c", "sum"), ("n", "sum")]
     base = fold_groups(  # ≤ |returnflag| × |linestatus| rows
         li.map_batches(arrow_out(partial), batch_format="pandas"),
-        ["l_returnflag", "l_linestatus"],
-        [("qty_c", "sum"), ("price_c", "sum"), ("n", "sum")])
+        ["l_returnflag", "l_linestatus"], sums)
     levels = [base]
     for keep in (["l_returnflag"], []):
-        lvl = base.groupby(keep)[["qty_c", "price_c", "n"]].sum().reset_index() \
-            if keep else base[["qty_c", "price_c", "n"]].sum().to_frame().T
+        lvl = group_frame(base, keep, sums)
         for col in ("l_returnflag", "l_linestatus"):
             if col not in lvl.columns:
                 lvl[col] = "ALL"
@@ -352,8 +326,6 @@ def q5_region_revenue(sf_dir: str):
     import pyarrow as pa
     import ray
 
-    from ray.data.aggregate import Sum
-
     from ..stages.joins import hash_join
 
     region = _read_dim(sf_dir, "region")
@@ -446,14 +418,9 @@ def q5_region_revenue(sf_dir: str):
         bucket_post=by_nation,
     )
 
-    agg = joined.groupby("n_name").aggregate(Sum("rev_c", alias_name="rev_c"))
-
-    def finalize(df: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame(
-            {"n_name": df["n_name"], "revenue": df["rev_c"] / 10_000.0}
-        )
-
-    return agg.map_batches(finalize, batch_format="pandas").sort("n_name")
+    agg = fold_groups(joined, ["n_name"], [("rev_c", "sum")])  # ≤ |nations|
+    return pd.DataFrame(
+        {"n_name": agg["n_name"], "revenue": agg["rev_c"] / 10_000.0})
 
 
 Q5_SQL = f"""
@@ -487,8 +454,6 @@ def q9_profit(sf_dir: str):
     the driver."""
     import pyarrow as pa
     import ray
-
-    from ray.data.aggregate import Sum
 
     from ..stages.joins import hash_join
 
@@ -600,19 +565,13 @@ def q9_profit(sf_dir: str):
         ),
         bucket_post=by_nation_year,
     )
-    agg = joined.groupby(["nation", "o_year"]).aggregate(
-        Sum("amount_c", alias_name="amount_c")
-    )
-
-    def finalize(df: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame(
-            {"nation": df["nation"], "o_year": df["o_year"],
-             "profit": df["amount_c"] / 10_000.0}
-        )
-
-    return agg.map_batches(finalize, batch_format="pandas").sort(
-        ["nation", "o_year"], descending=[False, True]
-    )
+    agg = fold_groups(  # ≤ |nations| × |years| rows
+        joined, ["nation", "o_year"], [("amount_c", "sum")])
+    return pd.DataFrame(
+        {"nation": agg["nation"], "o_year": agg["o_year"],
+         "profit": agg["amount_c"] / 10_000.0}
+    ).sort_values(["nation", "o_year"], ascending=[True, False],
+                  kind="mergesort", ignore_index=True)
 
 
 Q9_SQL = f"""
@@ -996,14 +955,13 @@ def q6_forecast_revenue(sf_dir: str) -> pd.DataFrame:
     all four predicates push into the Parquet scan (row-group statistics
     skip non-matching groups before any byte leaves storage), the
     projection carries only the two revenue columns, and each batch
-    collapses to ONE int64-cents row before the final Sum — the exchange
-    carries O(num_batches) rows regardless of corpus size.
+    collapses to ONE int64-cents row in the task that reads it, before
+    the driver's fold — O(num_blocks) rows reach the driver regardless of
+    corpus size.
 
     The discount bounds compare against the same stored doubles on both
     sides (numpy and DuckDB evaluate identical IEEE comparisons), so no
     epsilon is needed."""
-    from ray.data.aggregate import Sum
-
     li = _read(
         sf_dir, "lineitem",
         columns=["l_extendedprice", "l_discount"],
@@ -1017,16 +975,13 @@ def q6_forecast_revenue(sf_dir: str) -> pd.DataFrame:
     )
 
     def partial(b: pd.DataFrame) -> pd.DataFrame:
-        rev_c = np.rint(
+        return pd.DataFrame({"rev_c": np.rint(
             b["l_extendedprice"].to_numpy() * b["l_discount"].to_numpy() * 10_000
-        ).astype("int64")
-        return pd.DataFrame({"rev_c": [rev_c.sum()]})
+        ).astype("int64")})
 
-    agg = (
-        li.map_batches(arrow_out(partial), batch_format="pandas")
-        .aggregate(Sum("rev_c", alias_name="rev_c"))
-    )
-    return pd.DataFrame({"revenue": [agg["rev_c"] / 10_000.0]})
+    agg = fold_groups(li.map_batches(arrow_out(partial), batch_format="pandas"),
+                      [], [("rev_c", "sum")])
+    return pd.DataFrame({"revenue": agg["rev_c"] / 10_000.0})
 
 
 Q6_SQL = f"""
@@ -1051,11 +1006,9 @@ def q14_promo_share(sf_dir: str) -> pd.DataFrame:
     MEMBERSHIP-ONLY — no part attribute survives into the output — so the
     part side collapses to a broadcast sorted-partkey array (a filtered
     dimension-KEY artifact, the q9 tradeoff) and lineitem resolves promo
-    membership map-side via searchsorted; one scan, two int64-cent sums,
-    no exchange beyond O(num_batches) one-row partials."""
+    membership map-side via searchsorted; one scan, two int64-cent sums
+    folded by ``fold_groups``, no exchange."""
     import ray
-
-    from ray.data.aggregate import Sum
 
     def keys_only(b: pd.DataFrame) -> pd.DataFrame:
         return b.loc[b["p_type"] == Q14_PROMO_TYPE, ["p_partkey"]]
@@ -1093,7 +1046,7 @@ def q14_promo_share(sf_dir: str) -> pd.DataFrame:
             else:
                 is_promo = np.zeros(len(pk), dtype=bool)
             return pd.DataFrame(
-                {"promo_c": [rev_c[is_promo].sum()], "total_c": [rev_c.sum()]}
+                {"promo_c": np.where(is_promo, rev_c, 0), "total_c": rev_c}
             )
 
     li = _read(
@@ -1104,15 +1057,12 @@ def q14_promo_share(sf_dir: str) -> pd.DataFrame:
             & (pc.field("l_shipdate") < pc.scalar(np.datetime64(Q14_TO, "us")))
         ),
     )
-    agg = (
-        li.map_batches(arrow_out(PromoPartial(promo_ref)), batch_format="pandas")
-        .aggregate(
-            Sum("promo_c", alias_name="promo_c"),
-            Sum("total_c", alias_name="total_c"),
-        )
-    )
+    agg = fold_groups(
+        li.map_batches(arrow_out(PromoPartial(promo_ref)), batch_format="pandas"),
+        [], [("promo_c", "sum"), ("total_c", "sum")]).iloc[0]
     return pd.DataFrame(
-        {"promo_revenue": [round(100.0 * agg["promo_c"] / agg["total_c"], 6)]}
+        {"promo_revenue": [round(100.0 * int(agg["promo_c"])
+                                 / int(agg["total_c"]), 6)]}
     )
 
 
@@ -1141,13 +1091,11 @@ def q10_returned_customers(sf_dir: str, k: int = Q10_K) -> pd.DataFrame:
     per-orderkey 'R' revenue inside map_batches (filter pushed to the
     scan), the date-filtered orders stream joins it through the bucketed
     hash join with the per-custkey partial fused into the buckets, and the
-    grouped per-customer sums — the only table that leaves the exchange —
-    are sorted distributed and cut to k.  Customer attributes are fetched
+    per-customer sums — a customer-bounded census — fold on the driver,
+    where they are sorted and cut to k.  Customer attributes are fetched
     LAST, a k-row keyed lookup (attributes of the winners only; never the
     customer table driver-side)."""
     import pyarrow as pa
-
-    from ray.data.aggregate import Sum
 
     from ..stages.joins import hash_join
 
@@ -1191,12 +1139,13 @@ def q10_returned_customers(sf_dir: str, k: int = Q10_K) -> pd.DataFrame:
             [("o_orderkey", pa.int64()), ("rev_c", pa.int64())]
         ),
         bucket_post=by_cust,
-    ).groupby("o_custkey").aggregate(Sum("rev_c", alias_name="rev_c"))
-
+    )
     top = (
-        per_cust.sort(["rev_c", "o_custkey"], descending=[True, False])
-        .limit(k)
-        .to_pandas()  # k rows
+        fold_groups(per_cust, ["o_custkey"], [("rev_c", "sum")])  # ≤ |customers|
+        .sort_values(["rev_c", "o_custkey"], ascending=[False, True],
+                     kind="mergesort")
+        .head(k)
+        .reset_index(drop=True)
     )
 
     keys = top["o_custkey"].tolist()
@@ -1428,8 +1377,6 @@ def tables_integrity(sf_dir: str) -> pd.DataFrame:
     (`docs.token_histogram`'s shape) instead of collecting."""
     import ray
 
-    from ray.data.aggregate import Sum
-
     def _key_array(table: str, key: str) -> np.ndarray:
         return _read(sf_dir, table, columns=[key]).to_pandas()[key].to_numpy()
 
@@ -1479,8 +1426,8 @@ def tables_integrity(sf_dir: str) -> pd.DataFrame:
             )
 
     def _two(ds) -> tuple[int, int]:
-        out = ds.aggregate(Sum("fk", alias_name="fk"), Sum("rng", alias_name="rng"))
-        return (int(out["fk"] or 0), int(out["rng"] or 0))
+        out = fold_groups(ds, [], [("fk", "sum"), ("rng", "sum")]).fillna(0)
+        return (int(out["fk"].iloc[0]), int(out["rng"].iloc[0]))
 
     o_fk, o_rng = _two(
         _read(sf_dir, "orders", columns=["o_custkey", "o_totalprice"])
@@ -1532,10 +1479,9 @@ def orders_monthly_cumrev(sf_dir: str) -> pd.DataFrame:
     """Month → (revenue, cumulative revenue) over the whole order log —
     the global ordered running-total shape: the per-month census is a
     BOUNDED artifact (dozens of rows), so the distributed work is one
-    int64-cent combiner per batch and the cumsum is a driver-side
-    prefix over the tiny sorted census (never a global sort of rows)."""
-    from ray.data.aggregate import Sum
-
+    int64-cent column per row folded by ``fold_groups``, and the cumsum
+    is a driver-side prefix over the tiny sorted census (never a global
+    sort of rows)."""
     orders = _read(sf_dir, "orders", columns=["o_orderdate", "o_totalprice"])
 
     def partial(b: pd.DataFrame) -> pd.DataFrame:
@@ -1546,19 +1492,11 @@ def orders_monthly_cumrev(sf_dir: str) -> pd.DataFrame:
             .astype("datetime64[M]").astype("datetime64[us]")
         )
         c = np.rint(b["o_totalprice"].to_numpy() * 100).astype("int64")
-        return (
-            pd.DataFrame({"month": month, "c": c})
-            .groupby("month", sort=False)["c"].sum().reset_index()
-        )
+        return pd.DataFrame({"month": month, "c": c})
 
-    agg = (
-        orders.map_batches(arrow_out(partial), batch_format="pandas")
-        .to_pandas()  # ≤ batches×months partial rows — bounded artifact
-        .groupby("month", as_index=False)["c"].sum()  # driver fold: no
-        # Ray datetime-key sort barrier (and no numpy-precision warning)
-        .sort_values("month")
-        .reset_index(drop=True)
-    )
+    agg = fold_groups(  # ≤ #months rows — bounded artifact
+        orders.map_batches(arrow_out(partial), batch_format="pandas"),
+        ["month"], [("c", "sum")])
     c = agg["c"].astype("int64")
     return pd.DataFrame(
         # explicit µs — Ray's to_pandas upcasts timestamps to ns, which
@@ -1591,12 +1529,10 @@ def orders_yoy(sf_dir: str) -> pd.DataFrame:
     prior-year partner emit (inner-join semantics keep every column
     non-null int64).
 
-    Shape: the distributed work is one int64-cent month combiner per
-    batch → a ≤#months groupby exchange; the self-join-12-back runs on
+    Shape: the distributed work is one int64-cent month column per row
+    → a ≤#months ``fold_groups`` census; the self-join-12-back runs on
     the BOUNDED census driver-side (dozens of rows at any corpus
     size)."""
-    from ray.data.aggregate import Sum
-
     orders = _read(sf_dir, "orders", columns=["o_orderdate", "o_totalprice"])
 
     def partial(b: pd.DataFrame) -> pd.DataFrame:
@@ -1605,18 +1541,11 @@ def orders_yoy(sf_dir: str) -> pd.DataFrame:
             .astype("datetime64[M]").astype("datetime64[us]")
         )
         c = np.rint(b["o_totalprice"].to_numpy() * 100).astype("int64")
-        return (
-            pd.DataFrame({"month": month, "c": c})
-            .groupby("month", sort=False)["c"].sum().reset_index()
-        )
+        return pd.DataFrame({"month": month, "c": c})
 
-    agg = (
-        orders.map_batches(arrow_out(partial), batch_format="pandas")
-        .to_pandas()  # ≤ batches×months partial rows — bounded artifact
-        .groupby("month", as_index=False)["c"].sum()
-        .sort_values("month")
-        .reset_index(drop=True)
-    )
+    agg = fold_groups(  # ≤ #months rows — bounded artifact
+        orders.map_batches(arrow_out(partial), batch_format="pandas"),
+        ["month"], [("c", "sum")])
     prev = agg.copy()
     prev["month"] = (
         prev["month"].to_numpy().astype("datetime64[M]") + 12
@@ -1671,8 +1600,6 @@ def customers_rfm(sf_dir: str):
     parallelism-invariant."""
     import ray
 
-    from ray.data.aggregate import Max, Sum
-
     from ..stages.shuffle import bucketed_group_map
 
     orders = _read(sf_dir, "orders", columns=["o_custkey", "o_orderdate",
@@ -1718,19 +1645,10 @@ def customers_rfm(sf_dir: str):
         arrow_out(melt), batch_format="pandas"
     ).materialize()  # two passes (counts, then ranks); customers-sized
 
-    def count_partial(b: pd.DataFrame) -> pd.DataFrame:
-        c = b.groupby(["dim", "vbucket"], sort=False).size()
-        return pd.DataFrame(
-            {"dim": pd.array(c.index.get_level_values(0), "int64"),
-             "vbucket": pd.array(c.index.get_level_values(1), "int64"),
-             "n": pd.array(c.to_numpy(), "int64")}
-        )
-
-    counts = (
-        melted.map_batches(arrow_out(count_partial), batch_format="pandas")
-        .to_pandas()  # ≤ blocks × dims × range-buckets tiny rows
-        .groupby(["dim", "vbucket"])["n"].sum()
-    )
+    counts = fold_groups(  # ≤ dims × range-buckets rows
+        melted.select_columns(["dim", "vbucket"]).map_batches(
+            arrow_out(lambda b: b.assign(n=1)), batch_format="pandas"),
+        ["dim", "vbucket"], [("n", "sum")]).set_index(["dim", "vbucket"])["n"]
     n_total = int(counts.loc[0].sum())  # customers (same for every dim)
     offsets = {}
     for dim in (0, 1, 2):
@@ -1808,39 +1726,25 @@ ABOVE_AVG_FACTOR = 2
 def customers_above_avg(sf_dir: str):
     """Customers whose total spend exceeds 2× the all-customer average —
     the global-scalar-then-filter shape (a correlated subquery in SQL):
-    pass 1 aggregates per-customer cent totals through the bucketed
-    combiner; the average divides two already-global integers on the
-    driver; pass 2 is a vectorized filter of the SAME per-customer
-    aggregate (kept distributed — only the two scalars move)."""
-    from ray.data.aggregate import Sum
-
+    pass 1 folds per-customer cent totals (a customer-bounded census);
+    the average divides two already-global integers on the driver;
+    pass 2 is a vectorized filter of the SAME per-customer aggregate."""
     orders = _read(sf_dir, "orders", columns=["o_custkey", "o_totalprice"])
 
     def partial(b: pd.DataFrame) -> pd.DataFrame:
         c = np.rint(b["o_totalprice"].to_numpy() * 100).astype("int64")
-        return (
-            pd.DataFrame({"o_custkey": b["o_custkey"], "c": c})
-            .groupby("o_custkey", sort=False)["c"].sum().reset_index()
-        )
+        return pd.DataFrame({"o_custkey": b["o_custkey"], "c": c})
 
-    per_cust = (
-        orders.map_batches(arrow_out(partial), batch_format="pandas")
-        .groupby("o_custkey").aggregate(Sum("c", alias_name="c"))
-        .materialize()  # reused: global scalar + the filtered output
-    )
-    tot = per_cust.aggregate(Sum("c", alias_name="t"))
-    n = per_cust.count()
-    cutoff = ABOVE_AVG_FACTOR * tot["t"] / n  # exact: ints divided once
-
-    def keep(b: pd.DataFrame) -> pd.DataFrame:
-        spend = b["c"].astype("int64")
-        out = b.loc[spend > cutoff]
-        return pd.DataFrame(
-            {"o_custkey": out["o_custkey"].astype("int64"),
-             "total_spend": out["c"].astype("int64") / 100.0}
-        )
-
-    return per_cust.map_batches(arrow_out(keep), batch_format="pandas")
+    per_cust = fold_groups(  # ≤ |customers| rows
+        orders.map_batches(arrow_out(partial), batch_format="pandas"),
+        ["o_custkey"], [("c", "sum")])
+    spend = per_cust["c"]
+    cutoff = ABOVE_AVG_FACTOR * int(spend.sum()) / len(spend)  # ints divided once
+    out = per_cust.loc[spend > cutoff]
+    return pd.DataFrame(
+        {"o_custkey": out["o_custkey"].astype("int64"),
+         "total_spend": out["c"].astype("int64") / 100.0}
+    ).reset_index(drop=True)
 
 
 ABOVE_AVG_SQL = f"""
@@ -1865,8 +1769,6 @@ def lineitem_qty_stats(sf_dir: str):
     float appears exactly once in the final formula).  x ≤ 50·100 cents
     ⇒ Σx² ≤ ~1.5e13 — well inside int64; for wide-domain columns scale
     down or use the histogram-quantile machinery instead."""
-    from ray.data.aggregate import Sum
-
     li = _read(
         sf_dir, "lineitem",
         columns=["l_returnflag", "l_linestatus", "l_quantity"],
@@ -1874,26 +1776,16 @@ def lineitem_qty_stats(sf_dir: str):
 
     def partial(b: pd.DataFrame) -> pd.DataFrame:
         c = np.rint(b["l_quantity"].to_numpy() * 100).astype("int64")
-        df = pd.DataFrame(
+        return pd.DataFrame(
             {"l_returnflag": b["l_returnflag"],
              "l_linestatus": b["l_linestatus"],
-             "s1": c, "s2": c * c}
-        )
-        return (
-            df.groupby(["l_returnflag", "l_linestatus"], sort=False)
-            .agg(n=("s1", "size"), s1=("s1", "sum"), s2=("s2", "sum"))
-            .reset_index()
+             "n": 1, "s1": c, "s2": c * c}
         )
 
-    agg = (
-        li.map_batches(arrow_out(partial), batch_format="pandas")
-        .groupby(["l_returnflag", "l_linestatus"])
-        .aggregate(
-            Sum("n", alias_name="n"),
-            Sum("s1", alias_name="s1"),
-            Sum("s2", alias_name="s2"),
-        )
-    )
+    agg = fold_groups(  # ≤ |returnflag| × |linestatus| rows
+        li.map_batches(arrow_out(partial), batch_format="pandas"),
+        ["l_returnflag", "l_linestatus"],
+        [("n", "sum"), ("s1", "sum"), ("s2", "sum")])
 
     def finalize(df: pd.DataFrame) -> pd.DataFrame:
         n = df["n"].astype("int64")
@@ -1914,7 +1806,7 @@ def lineitem_qty_stats(sf_dir: str):
              "stddev_qty": np.round(np.sqrt(np.asarray(var)), 6)}
         )
 
-    return agg.map_batches(arrow_out(finalize), batch_format="pandas")
+    return finalize(agg)
 
 
 QTY_STATS_SQL = """
@@ -1949,50 +1841,33 @@ def lineitem_regression(sf_dir: str):
     (cast-to-double of identical integers, same operation order; 6-dp
     round absorbs the cast ulp).  ``batch_size`` bounds the in-batch
     int64 groupby sums (16384 · y²_max ≈ 1.8e18 < 2^63)."""
-    from ray.data.aggregate import Sum
-
     li = _read(
         sf_dir, "lineitem",
         columns=["l_returnflag", "l_quantity", "l_extendedprice"],
     )
 
     LIMB = 10 ** 15
+    sums = [(c, "sum") for c in ("n", "sx", "sxx", "sy", "sxy", "syy")]
 
     def partial(b: pd.DataFrame) -> pd.DataFrame:
         x = np.rint(b["l_quantity"].to_numpy()).astype("int64")
         y = np.rint(b["l_extendedprice"].to_numpy() * 100).astype("int64")
-        df = pd.DataFrame(
-            {"l_returnflag": b["l_returnflag"],
-             "x": x, "xx": x * x, "y": y, "xy": x * y, "yy": y * y}
-        )
-        g = (
-            df.groupby("l_returnflag", sort=False)
-            .agg(n=("x", "size"), sx=("x", "sum"), sxx=("xx", "sum"),
-                 sy=("y", "sum"), sxy=("xy", "sum"), syy=("yy", "sum"))
-            .reset_index()
-        )
+        g = group_frame(pd.DataFrame(
+            {"l_returnflag": b["l_returnflag"], "n": 1,
+             "sx": x, "sxx": x * x, "sy": y, "sxy": x * y, "syy": y * y}
+        ), ["l_returnflag"], sums)
         for c in ("sy", "sxy", "syy"):
             vals = [int(v) for v in g[c]]
             g[f"{c}_lo"] = pd.array([v % LIMB for v in vals], "int64")
             g[f"{c}_hi"] = pd.array([v // LIMB for v in vals], "int64")
         return g.drop(columns=["sy", "sxy", "syy"])
 
-    agg = (
+    agg = fold_groups(  # ≤ |returnflag| rows
         li.map_batches(arrow_out(partial), batch_format="pandas",
-                       batch_size=16384)
-        .groupby("l_returnflag")
-        .aggregate(
-            Sum("n", alias_name="n"),
-            Sum("sx", alias_name="sx"),
-            Sum("sxx", alias_name="sxx"),
-            Sum("sy_lo", alias_name="sy_lo"),
-            Sum("sy_hi", alias_name="sy_hi"),
-            Sum("sxy_lo", alias_name="sxy_lo"),
-            Sum("sxy_hi", alias_name="sxy_hi"),
-            Sum("syy_lo", alias_name="syy_lo"),
-            Sum("syy_hi", alias_name="syy_hi"),
-        )
-    )
+                       batch_size=16384),
+        ["l_returnflag"],
+        [(c, "sum") for c in ("n", "sx", "sxx", "sy_lo", "sy_hi", "sxy_lo",
+                              "sxy_hi", "syy_lo", "syy_hi")])
 
     def finalize(df: pd.DataFrame) -> pd.DataFrame:
         rows = []
@@ -2027,7 +1902,7 @@ def lineitem_regression(sf_dir: str):
              "corr": out["corr"].astype("float64")}
         )
 
-    return agg.map_batches(arrow_out(finalize), batch_format="pandas")
+    return finalize(agg)
 
 
 LINEITEM_REGRESSION_SQL = """
@@ -2100,11 +1975,8 @@ def lineitem_neyman(sf_dir: str):
 
     def moment_partial(b: pd.DataFrame) -> pd.DataFrame:
         q = np.rint(b["l_quantity"].to_numpy()).astype("int64")
-        df = pd.DataFrame({"l_returnflag": b["l_returnflag"],
-                           "s1": q, "s2": q * q})
-        return (df.groupby("l_returnflag", sort=False)
-                .agg(n=("s1", "size"), s1=("s1", "sum"), s2=("s2", "sum"))
-                .reset_index())
+        return pd.DataFrame({"l_returnflag": b["l_returnflag"], "n": 1,
+                             "s1": q, "s2": q * q})
 
     m = fold_groups(  # |strata| rows
         li.map_batches(arrow_out(moment_partial), batch_format="pandas"),
@@ -2141,11 +2013,8 @@ def lineitem_neyman(sf_dir: str):
         lim = b["l_returnflag"].map(rates).to_numpy("uint64")
         keep = h < lim
         q = np.rint(b["l_quantity"].to_numpy()).astype("int64")[keep]
-        df = pd.DataFrame({"l_returnflag": b["l_returnflag"][keep],
-                           "q": q})
-        return (df.groupby("l_returnflag", sort=False)
-                .agg(n_sampled=("q", "size"), qty_sum=("q", "sum"))
-                .reset_index())
+        return pd.DataFrame({"l_returnflag": b["l_returnflag"][keep],
+                             "n_sampled": 1, "qty_sum": q})
 
     cen = fold_groups(
         li.map_batches(arrow_out(sample_partial), batch_format="pandas"),
@@ -2409,12 +2278,11 @@ def tables_key_discovery(sf_dir: str) -> pd.DataFrame:
 
         def bucket(g: pd.DataFrame) -> pd.DataFrame:
             u = g[key_cols].drop_duplicates()
-            out = u.groupby("cand", sort=False).size().reset_index(name="nd")
-            return out.astype({"cand": "int64", "nd": "int64"})
+            return pd.DataFrame({"cand": u["cand"].astype("int64"), "nd": 1})
 
-        cen = bucketed_group_map(sparts, key_cols, bucket).to_pandas()
-        if "cand" in cen.columns:
-            nd = cen.groupby("cand")["nd"].sum()
+        nd = fold_groups(  # one row per candidate
+            bucketed_group_map(sparts, key_cols, bucket), ["cand"],
+            [("nd", "sum")]).set_index("cand")["nd"]
 
     surv_ids = {cand_id for cand_id, _, _ in survivors}
     rows = []
@@ -2496,13 +2364,7 @@ def lineitem_spearman(sf_dir: str) -> pd.DataFrame:
     def partial(b: pd.DataFrame) -> pd.DataFrame:
         x = np.rint(b["l_quantity"].to_numpy()).astype("int64")
         y = np.rint(b["l_discount"].to_numpy() * 100).astype("int64")
-        out = (
-            pd.DataFrame({"x": x, "y": y})
-            .groupby(["x", "y"], sort=False)
-            .size().rename("c").reset_index()
-        )
-        out["c"] = out["c"].astype("int64")
-        return out
+        return pd.DataFrame({"x": x, "y": y, "c": 1})
 
     cells = fold_groups(
         li.map_batches(arrow_out(partial), batch_format="pandas"),
@@ -2600,8 +2462,6 @@ def lineitem_mad(sf_dir: str) -> pd.DataFrame:
     (3·1.4826 ≈ 4.4478 scaled to ×10⁴ — both engines compare identical
     integers, no float fence).  Output is one row; floats only in the
     final cents→dollars descale."""
-    from ray.data.aggregate import Sum
-
     from ..stages.quantiles import quantiles_disc_int
 
     li = _read(sf_dir, "lineitem", ["l_extendedprice"])
@@ -2620,16 +2480,13 @@ def lineitem_mad(sf_dir: str) -> pd.DataFrame:
     devs = ints.map_batches(arrow_out(to_dev), batch_format="pandas")
     mad = int(quantiles_disc_int(devs, [0.5])["value"].iloc[0])
 
-    def count_outliers(b: pd.DataFrame) -> pd.DataFrame:
+    def flag_outliers(b: pd.DataFrame) -> pd.DataFrame:
         dev = np.abs(b["v"].to_numpy() - med)
-        return pd.DataFrame(
-            {"n": pd.array([int((dev * 10_000 > 44_478 * mad).sum())], "int64")}
-        )
+        return pd.DataFrame({"n": (dev * 10_000 > 44_478 * mad).astype("int64")})
 
-    n_out = (
-        ints.map_batches(arrow_out(count_outliers), batch_format="pandas")
-        .aggregate(Sum("n", alias_name="n"))["n"]
-    )
+    n_out = fold_groups(
+        ints.map_batches(arrow_out(flag_outliers), batch_format="pandas"),
+        [], [("n", "sum")])["n"].iloc[0]
     return pd.DataFrame(
         {"median_price": [round(med / 100.0, 6)],
          "mad_price": [round(mad / 100.0, 6)],
@@ -2707,30 +2564,22 @@ def q1_cube(sf_dir: str) -> pd.DataFrame:
     )
 
     def partial(b: pd.DataFrame) -> pd.DataFrame:
-        df = pd.DataFrame(
+        return pd.DataFrame(
             {"l_returnflag": b["l_returnflag"],
              "l_linestatus": b["l_linestatus"],
              "qty_c": np.rint(b["l_quantity"].to_numpy() * 100).astype("int64"),
              "price_c": np.rint(
-                 b["l_extendedprice"].to_numpy() * 100).astype("int64")}
-        )
-        return (
-            df.groupby(["l_returnflag", "l_linestatus"], sort=False)
-            .agg(qty_c=("qty_c", "sum"), price_c=("price_c", "sum"),
-                 n=("qty_c", "size"))
-            .reset_index()
+                 b["l_extendedprice"].to_numpy() * 100).astype("int64"),
+             "n": 1}
         )
 
+    sums = [("qty_c", "sum"), ("price_c", "sum"), ("n", "sum")]
     base = fold_groups(  # bounded detail artifact
         li.map_batches(arrow_out(partial), batch_format="pandas"),
-        ["l_returnflag", "l_linestatus"],
-        [("qty_c", "sum"), ("price_c", "sum"), ("n", "sum")])
+        ["l_returnflag", "l_linestatus"], sums)
     levels = [base]
     for keep in (["l_returnflag"], ["l_linestatus"], []):
-        lvl = (
-            base.groupby(keep)[["qty_c", "price_c", "n"]].sum().reset_index()
-            if keep else base[["qty_c", "price_c", "n"]].sum().to_frame().T
-        )
+        lvl = group_frame(base, keep, sums)
         for col in ("l_returnflag", "l_linestatus"):
             if col not in lvl.columns:
                 lvl[col] = "ALL"
@@ -2782,8 +2631,6 @@ def q4_order_priority(sf_dir: str):
     the exchange."""
     import pyarrow as pa
 
-    from ray.data.aggregate import Sum
-
     from ..stages.joins import hash_join
 
     orders = _read(
@@ -2820,9 +2667,8 @@ def q4_order_priority(sf_dir: str):
             [("o_orderkey", pa.int64()), ("l_shipdate", pa.timestamp("us"))]
         ),
     )
-    return j.groupby("o_orderpriority").aggregate(
-        Sum("order_count", alias_name="order_count")
-    )
+    return fold_groups(  # ≤ |priorities| rows
+        j, ["o_orderpriority"], [("order_count", "sum")])
 
 
 Q4_SQL = f"""
@@ -2851,8 +2697,6 @@ def q13_custdist(sf_dir: str) -> pd.DataFrame:
     assumption and no driver-side subtraction.  Each bucket emits its
     LOCAL count-of-counts, so the final exchange carries only
     O(buckets × distinct counts) rows."""
-    from ray.data.aggregate import Sum
-
     from ..stages.shuffle import bucketed_group_map
 
     orders = _read(
@@ -2886,29 +2730,20 @@ def q13_custdist(sf_dir: str) -> pd.DataFrame:
         agg = g.groupby("o_custkey", sort=False).agg(
             n=("n", "sum"), is_cust=("is_cust", "sum")
         )
-        dist = agg.loc[agg["is_cust"] > 0, "n"].value_counts()
         return pd.DataFrame(
-            {"c_count": pd.array(dist.index, "int64"),
-             "custdist": pd.array(dist.to_numpy(), "int64")}
+            {"c_count": agg.loc[agg["is_cust"] > 0, "n"].astype("int64"),
+             "custdist": 1}
         )
 
-    # per-bucket count-of-counts are a BOUNDED artifact (≤ buckets ×
-    # distinct order counts): fold driver-side — the distributed
-    # groupby.aggregate it replaces was pure fixed cost (~0.5 s of a 3 s
-    # query at sf0.1).  The remaining gap vs the old FK-assuming form
-    # (~2.9 s vs ~1.5 s) is the customer branch + union itself: the
-    # price of exact LEFT JOIN semantics (advisor fix r4).
-    per_bucket = bucketed_group_map(
-        partials, ["o_custkey"], dist_of_bucket, num_buckets=32
-    ).to_pandas()
-    dist = (
-        per_bucket.groupby("c_count", sort=False)["custdist"]
-        .sum().reset_index()
-    )
-    return pd.DataFrame(
-        {"c_count": dist["c_count"].astype("int64"),
-         "custdist": dist["custdist"].astype("int64")}
-    ).sort_values("c_count").reset_index(drop=True)
+    # the count-of-counts census is BOUNDED (≤ distinct order counts):
+    # ``fold_groups`` folds it.  The remaining gap vs the old
+    # FK-assuming form (~2.9 s vs ~1.5 s at sf0.1) is the customer
+    # branch + union itself: the price of exact LEFT JOIN semantics
+    # (advisor fix r4).
+    return fold_groups(
+        bucketed_group_map(partials, ["o_custkey"], dist_of_bucket,
+                           num_buckets=32),
+        ["c_count"], [("custdist", "sum")])
 
 
 Q13_SQL = f"""
@@ -2927,16 +2762,10 @@ Q15_FROM, Q15_TO = "1996-01-01", "1996-04-01"
 
 def q15_top_supplier(sf_dir: str) -> pd.DataFrame:
     """TPC-H q15 shape: argmax-with-ties over a grouped aggregate (the
-    revenue view + scalar MAX).  Per-supplier cent totals combine
-    map-side then in coarse hash buckets (supplier cardinality grows
-    with the data — never a per-key groupby, never a driver collect of
-    the totals); the scalar max is a Dataset aggregate, the tie filter
-    is a vectorized map over the SAME materialized per-supplier
-    Dataset, and supplier attributes are fetched LAST by winner key."""
-    from ray.data.aggregate import Max
-
-    from ..stages.shuffle import bucketed_group_map
-
+    revenue view + scalar MAX).  Per-supplier cent totals fold on the
+    driver (a supplier-bounded census); the scalar max and the tie filter
+    run on that frame, and supplier attributes are fetched LAST by
+    winner key."""
     li = _read(
         sf_dir, "lineitem",
         columns=["l_suppkey", "l_extendedprice", "l_discount"],
@@ -2947,36 +2776,16 @@ def q15_top_supplier(sf_dir: str) -> pd.DataFrame:
     )
 
     def partial(b: pd.DataFrame) -> pd.DataFrame:
-        rev_c = np.rint(
+        total_c = np.rint(
             b["l_extendedprice"].to_numpy()
             * (1.0 - b["l_discount"].to_numpy()) * 10_000
         ).astype("int64")
-        g = (
-            pd.DataFrame({"l_suppkey": b["l_suppkey"], "rev_c": rev_c})
-            .groupby("l_suppkey", sort=False)["rev_c"].sum()
-        )
-        return pd.DataFrame(
-            {"l_suppkey": pd.array(g.index, "int64"),
-             "rev_c": pd.array(g.to_numpy(), "int64")}
-        )
+        return pd.DataFrame({"l_suppkey": b["l_suppkey"], "total_c": total_c})
 
-    partials = li.map_batches(arrow_out(partial), batch_format="pandas")
-
-    def sum_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        s = g.groupby("l_suppkey", sort=False)["rev_c"].sum()
-        return pd.DataFrame(
-            {"l_suppkey": pd.array(s.index, "int64"),
-             "total_c": pd.array(s.to_numpy(), "int64")}
-        )
-
-    per_supp = bucketed_group_map(
-        partials, ["l_suppkey"], sum_bucket, num_buckets=32
-    ).materialize()  # reused: scalar max + the tie filter
-    best = per_supp.aggregate(Max("total_c", alias_name="m"))["m"]
-
-    winners = per_supp.map_batches(
-        arrow_out(lambda b: b[b["total_c"] == best]), batch_format="pandas"
-    ).to_pandas()  # ties only — one row per co-leader
+    per_supp = fold_groups(  # ≤ |suppliers| rows
+        li.map_batches(arrow_out(partial), batch_format="pandas"),
+        ["l_suppkey"], [("total_c", "sum")])
+    winners = per_supp[per_supp["total_c"] == per_supp["total_c"].max()]
 
     supp = _read(
         sf_dir, "supplier", columns=["s_suppkey", "s_name"],
@@ -3018,8 +2827,6 @@ def q17_small_qty_revenue(sf_dir: str) -> pd.DataFrame:
     filters ``qty < 0.2·avg`` in exact integers (5·qty_c·n < Σqty_c —
     no float division anywhere near the comparison)."""
     import ray
-
-    from ray.data.aggregate import Sum
 
     from ..stages.shuffle import bucketed_group_map
 
@@ -3063,12 +2870,10 @@ def q17_small_qty_revenue(sf_dir: str) -> pd.DataFrame:
         keep = 5 * g["qty_c"].to_numpy() * cnt < sum_c
         return pd.DataFrame({"price_c": [int(g.loc[keep, "price_c"].sum())]})
 
-    total = bucketed_group_map(
-        li, ["l_partkey"], small_qty_sum, num_buckets=16
-    ).aggregate(Sum("price_c", alias_name="price_c"))
-    return pd.DataFrame(
-        {"avg_yearly": [total["price_c"] / 100.0 / 7.0]}
-    )
+    total = fold_groups(
+        bucketed_group_map(li, ["l_partkey"], small_qty_sum, num_buckets=16),
+        [], [("price_c", "sum")])
+    return pd.DataFrame({"avg_yearly": total["price_c"] / 100.0 / 7.0})
 
 
 Q17_SQL = f"""
@@ -3101,10 +2906,8 @@ def q19_disjunctive_revenue(sf_dir: str) -> pd.DataFrame:
     into a per-key uint8 BITMASK (parts matching no clause never leave
     the scan) broadcast as sorted-key + mask arrays; lineitem resolves
     its quantity ranges vectorized and ANDs them against the looked-up
-    mask — one scan, zero exchange beyond one-row partials."""
+    mask — one scan, no exchange: each task folds its rows to one."""
     import ray
-
-    from ray.data.aggregate import Sum
 
     def mask_parts(b: pd.DataFrame) -> pd.DataFrame:
         size = b["p_size"].to_numpy()
@@ -3152,16 +2955,16 @@ def q19_disjunctive_revenue(sf_dir: str) -> pd.DataFrame:
                 b["l_extendedprice"].to_numpy()
                 * (1.0 - b["l_discount"].to_numpy()) * 10_000
             ).astype("int64")
-            return pd.DataFrame({"rev_c": [int(rev_c[keep].sum())]})
+            return pd.DataFrame({"rev_c": np.where(keep, rev_c, 0)})
 
     li = _read(
         sf_dir, "lineitem",
         columns=["l_partkey", "l_quantity", "l_extendedprice", "l_discount"],
     )
-    agg = li.map_batches(
-        arrow_out(RevPartial(keys_ref)), batch_format="pandas"
-    ).aggregate(Sum("rev_c", alias_name="rev_c"))
-    return pd.DataFrame({"revenue": [agg["rev_c"] / 10_000.0]})
+    agg = fold_groups(
+        li.map_batches(arrow_out(RevPartial(keys_ref)), batch_format="pandas"),
+        [], [("rev_c", "sum")])
+    return pd.DataFrame({"revenue": agg["rev_c"] / 10_000.0})
 
 
 Q19_SQL = "\nSELECT SUM(CAST(round(l_extendedprice*(1-l_discount)*10000) AS BIGINT))/10000.0 AS revenue\nFROM lineitem JOIN part ON p_partkey = l_partkey\nWHERE " + "\n   OR ".join(
@@ -3177,14 +2980,12 @@ Q22_RECENT = "2000-01-01"
 def q22_global_sales(sf_dir: str):
     """TPC-H q22 shape: scalar-subquery average + NOT-EXISTS anti join +
     grouped census.  The above-average filter compares in EXACT integers
-    (acctbal_c·n > Σacctbal_c — both global scalars from one Dataset
-    aggregate); survivors anti-join the recent-orders stream through the
-    PARTITIONED hash join (the orders side scales — no key-set
+    (acctbal_c·n > Σacctbal_c — both global scalars from one
+    ``fold_groups`` total); survivors anti-join the recent-orders stream
+    through the PARTITIONED hash join (the orders side scales — no key-set
     broadcast), with the per-nation census fused into the join buckets
     so only 25-row partials leave the exchange."""
     import pyarrow as pa
-
-    from ray.data.aggregate import Count, Sum
 
     from ..stages.joins import hash_join
 
@@ -3192,12 +2993,12 @@ def q22_global_sales(sf_dir: str):
 
     def bal_partial(b: pd.DataFrame) -> pd.DataFrame:
         c = np.rint(b["c_acctbal"].to_numpy() * 100).astype("int64")
-        pos = c[c > 0]
-        return pd.DataFrame({"sum_c": [int(pos.sum())], "n": [len(pos)]})
+        return pd.DataFrame({"sum_c": np.where(c > 0, c, 0),
+                             "n": (c > 0).astype("int64")})
 
-    g = cust.map_batches(arrow_out(bal_partial), batch_format="pandas").aggregate(
-        Sum("sum_c", alias_name="sum_c"), Sum("n", alias_name="n")
-    )
+    g = fold_groups(
+        cust.map_batches(arrow_out(bal_partial), batch_format="pandas"),
+        [], [("sum_c", "sum"), ("n", "sum")]).iloc[0]
     sum_c, n_pos = int(g["sum_c"]), int(g["n"])
 
     def above_avg(b: pd.DataFrame) -> pd.DataFrame:
@@ -3445,12 +3246,9 @@ def q21_waiting_suppliers(sf_dir: str):
     order's lines; the bucket kernel computes (distinct suppliers,
     distinct LATE suppliers) per order vectorized, keeps multi-supplier
     orders whose late set is a singleton, and pre-counts per supplier —
-    so the global exchange is a |suppliers|-bounded census.  Supplier
-    names resolve through a second partitioned join (supplier cardinality
-    grows with the data; no broadcast)."""
+    so ``fold_groups`` folds a |suppliers|-bounded census.  Supplier
+    names are fetched last, for the waiting suppliers only."""
     import pyarrow as pa
-
-    from ray.data.aggregate import Sum
 
     from ..stages.joins import hash_join
 
@@ -3505,14 +3303,14 @@ def q21_waiting_suppliers(sf_dir: str):
             [("o_orderkey", pa.int64()), ("l_suppkey", pa.int64()),
              ("max_ship", pa.timestamp("us"))]
         ),
-    ).groupby("s_suppkey").aggregate(Sum("numwait", alias_name="numwait"))
-
-    supp = _read(sf_dir, "supplier", columns=["s_suppkey", "s_name"])
-    return hash_join(
-        waits, supp, on=["s_suppkey"], how="inner",
-        left_schema=pa.schema([("s_suppkey", pa.int64()), ("numwait", pa.int64())]),
-        right_schema=pa.schema([("s_suppkey", pa.int64()), ("s_name", pa.string())]),
     )
+    waits = fold_groups(  # ≤ |suppliers| rows
+        waits, ["s_suppkey"], [("numwait", "sum")])
+    supp = _read(
+        sf_dir, "supplier", columns=["s_suppkey", "s_name"],
+        filter=pc.field("s_suppkey").isin(waits["s_suppkey"].tolist()),
+    ).to_pandas()  # the waiting suppliers' names only
+    return waits.merge(supp, on="s_suppkey")[["s_suppkey", "numwait", "s_name"]]
 
 
 Q21_SQL = f"""
@@ -3752,12 +3550,8 @@ def q16_brand_suppliers(sf_dir: str) -> pd.DataFrame:
 
     def count_partial(g: pd.DataFrame) -> pd.DataFrame:
         d = g.drop_duplicates()  # triples from different join buckets
-        c = d.groupby(["p_brand", "p_size"], sort=False).size()
-        out = c.reset_index()
-        out.columns = ["p_brand", "p_size", "supplier_cnt"]
-        out["supplier_cnt"] = out["supplier_cnt"].astype("int64")
-        out["p_size"] = out["p_size"].astype("int32")
-        return out
+        return pd.DataFrame({"p_brand": d["p_brand"], "p_size": d["p_size"],
+                             "supplier_cnt": 1})
 
     counts = fold_groups(  # ≤ brands × sizes rows
         bucketed_group_map(
@@ -3836,14 +3630,11 @@ def q12_priority_lines(sf_dir: str) -> pd.DataFrame:
     def flag_partial(m: pd.DataFrame) -> pd.DataFrame:
         n = m["n"].to_numpy("int64")
         hi = m["is_high"].to_numpy("int64")
-        g = pd.DataFrame(
+        return pd.DataFrame(
             {"l_returnflag": m["l_returnflag"],
              "high_line_count": n * hi,
              "low_line_count": n * (1 - hi)}
-        ).groupby("l_returnflag", sort=False).sum().reset_index()
-        g["high_line_count"] = g["high_line_count"].astype("int64")
-        g["low_line_count"] = g["low_line_count"].astype("int64")
-        return g
+        )
 
     j = hash_join(
         li_counts, orders, on=["o_orderkey"], how="inner",
@@ -4014,20 +3805,15 @@ def q11_part_value_share(sf_dir: str) -> pd.DataFrame:
 
     Scale shape: the region's supplier keys are a filtered broadcast
     set (÷25 of suppliers — the q16 ladder; swap in ``stages/bloom.py``
-    beyond memory); lineitem pre-sums revenue cents per partkey inside
-    ``map_batches`` and one bucketed exchange finishes exact per-part
-    values.  That parts-sized aggregate is materialized ONCE and
-    consumed twice (global total, then the share filter) — the
-    aggregate, never the fact table.  All arithmetic is exact int64
+    beyond memory); lineitem's revenue cents fold per partkey
+    (``fold_groups``, a parts-bounded census) and the driver takes the
+    global total and the share filter from that frame — the aggregate,
+    never the fact table.  All arithmetic is exact int64
     basis-point cents (``value·DEN > total`` — at extreme totals where
     int64 would saturate, DuckDB's HUGEINT side still compares exactly;
     the engine side would need the int128 ladder, noted here for the
     100-TB reader)."""
     import ray
-
-    from ray.data.aggregate import Sum
-
-    from ..stages.shuffle import bucketed_group_map
 
     nations = _read_dim(sf_dir, "nation", columns=["n_nationkey", "n_regionkey"])
     region = _read_dim(sf_dir, "region", columns=["r_regionkey", "r_name"])
@@ -4054,42 +3840,21 @@ def q11_part_value_share(sf_dir: str) -> pd.DataFrame:
             b["l_extendedprice"].to_numpy()
             * (1.0 - b["l_discount"].to_numpy()) * 10_000
         ).astype("int64")
-        g = pd.DataFrame(
-            {"p_partkey": b["l_partkey"].to_numpy("int64"), "value_c": cents}
-        ).groupby("p_partkey", sort=False).sum().reset_index()
-        g["value_c"] = g["value_c"].astype("int64")
-        return g
+        return pd.DataFrame(
+            {"p_partkey": b["l_partkey"].to_numpy("int64"), "value_c": cents})
 
     li = _read(
         sf_dir, "lineitem",
         columns=["l_partkey", "l_suppkey", "l_extendedprice", "l_discount"],
     ).map_batches(arrow_out(partial), batch_format="pandas")
-
-    def finish(g: pd.DataFrame) -> pd.DataFrame:
-        out = g.groupby("p_partkey", sort=False)["value_c"].sum().reset_index()
-        out["value_c"] = out["value_c"].astype("int64")
-        return out
-
-    per_part = bucketed_group_map(li, ["p_partkey"], finish).materialize()
-    total = int(per_part.aggregate(Sum("value_c", alias_name="t"))["t"] or 0)
-
-    def share_filter(b: pd.DataFrame) -> pd.DataFrame:
-        keep = b["value_c"].to_numpy("int64") * Q11_FRAC_DEN > total
-        out = b[keep].copy()
-        out["value"] = out["value_c"] / 10_000.0
-        return out[["p_partkey", "value"]]
-
-    res = per_part.map_batches(
-        arrow_out(share_filter), batch_format="pandas"
-    ).to_pandas()  # the (small) answer
-    if "p_partkey" not in res.columns:  # zero-block to_pandas schema drop
-        return pd.DataFrame(
-            {"p_partkey": pd.array([], "int64"),
-             "value": pd.array([], "float64")}
-        )
-    return res.sort_values(
-        ["value", "p_partkey"], ascending=[False, True]
-    ).reset_index(drop=True)
+    per_part = fold_groups(li, ["p_partkey"], [("value_c", "sum")])  # ≤ |parts|
+    total = int(per_part["value_c"].sum())
+    res = per_part[per_part["value_c"].to_numpy("int64") * Q11_FRAC_DEN > total]
+    return pd.DataFrame(
+        {"p_partkey": res["p_partkey"].astype("int64"),
+         "value": res["value_c"] / 10_000.0}
+    ).sort_values(["value", "p_partkey"], ascending=[False, True]
+                  ).reset_index(drop=True)
 
 
 Q11_SQL = f"""
@@ -4200,7 +3965,6 @@ def orders_abc(sf_dir: str):
     on custkey, so the order (and every cum value) is total and
     parallelism-invariant."""
     import ray
-    from ray.data.aggregate import Sum
 
     from ..stages.shuffle import bucketed_group_map
 
@@ -4228,19 +3992,12 @@ def orders_abc(sf_dir: str):
         ["custkey"], census_final,
     ).materialize()  # two passes (bucket census, then ranks)
 
-    def count_partial(b: pd.DataFrame) -> pd.DataFrame:
-        c = b.groupby("vbucket", sort=False)["cents"].agg(["size", "sum"])
-        return pd.DataFrame(
-            {"vbucket": pd.array(c.index, "int64"),
-             "n": pd.array(c["size"], "int64"),
-             "s": pd.array(c["sum"], "int64")}
-        )
+    def count_rows(b: pd.DataFrame) -> pd.DataFrame:
+        return pd.DataFrame({"vbucket": b["vbucket"], "n": 1, "s": b["cents"]})
 
-    counts = (
-        keyed.map_batches(arrow_out(count_partial), batch_format="pandas")
-        .to_pandas()  # ≤ blocks × range-buckets tiny rows
-        .groupby("vbucket")[["n", "s"]].sum().sort_index()
-    )
+    counts = fold_groups(  # ≤ range-buckets rows
+        keyed.map_batches(arrow_out(count_rows), batch_format="pandas"),
+        ["vbucket"], [("n", "sum"), ("s", "sum")]).set_index("vbucket")
     total = int(counts["s"].sum())
     rank_off = counts["n"].cumsum().shift(fill_value=0)
     cum_off = counts["s"].cumsum().shift(fill_value=0)
@@ -4340,16 +4097,14 @@ def parts_copurchase_sim(sf_dir: str):
 
     def part_count_partial(g: pd.DataFrame) -> pd.DataFrame:
         d = g.drop_duplicates(["o", "p"])
-        c = d["p"].value_counts()
-        return pd.DataFrame({"p": pd.array(c.index, "int64"),
-                             "n": pd.array(c.to_numpy(), "int64")})
+        return pd.DataFrame({"p": d["p"].astype("int64"), "n": 1})
 
     # orderkey bucket: batch-level drop_duplicates above is only a
     # combiner — the same (o, p) can survive in two blocks, so dedup
     # must finish inside the order-complete bucket before counting.
-    nparts = bucketed_group_map(
-        op, ["o"], part_count_partial
-    ).to_pandas().groupby("p")["n"].sum()  # catalog-sized artifact
+    nparts = fold_groups(  # catalog-sized artifact
+        bucketed_group_map(op, ["o"], part_count_partial), ["p"],
+        [("n", "sum")]).set_index("p")["n"]
     n_ref = ray.put(dict(zip(nparts.index, nparts.astype(int))))
 
     def pair_partial(g: pd.DataFrame) -> pd.DataFrame:
@@ -4427,10 +4182,8 @@ def orders_cohorts(sf_dir: str):
     is int64 cents.  Shape: ONE bucketed exchange on custkey (buckets
     are customer-complete, so each customer's first month AND its
     per-cell distinct-contribution of 1 are decided in-bucket — the
-    distinct count never rides an exchange), then a tiny cell-census
-    exchange folds (n, rev) partials."""
-    from ray.data.aggregate import Sum
-
+    distinct count never rides an exchange), then ``fold_groups`` folds
+    the tiny (n, rev) cell census."""
     from ..stages.shuffle import bucketed_group_map
 
     orders = _read(sf_dir, "orders",
@@ -4461,12 +4214,9 @@ def orders_cohorts(sf_dir: str):
         agg["n_customers"] = agg["n_customers"].astype("int64")
         return agg
 
-    partials = bucketed_group_map(keyed, ["ck"], bucket)
-    return (
-        partials.groupby(["cohort_m", "k"])
-        .aggregate(Sum("n_customers", alias_name="n_customers"),
-                   Sum("rev_cents", alias_name="rev_cents"))
-    )
+    return fold_groups(  # ≤ #months² cells
+        bucketed_group_map(keyed, ["ck"], bucket), ["cohort_m", "k"],
+        [("n_customers", "sum"), ("rev_cents", "sum")])
 
 
 ORDERS_COHORTS_SQL = """
@@ -4522,14 +4272,13 @@ def orders_open_by_day(sf_dir: str):
                                 ("l_shipdate", pa.timestamp("us"))]),
         bucket_post=_open_deltas,
     )
-    deltas = joined.to_pandas()  # calendar-bounded census
-    if not len(deltas):
+    agg = fold_groups(  # calendar-bounded census
+        joined, ["d"], [("opened", "sum"), ("closed", "sum")])
+    if not len(agg):
         return pd.DataFrame({"d": pd.Series(dtype="datetime64[us]"),
                              "opened": pd.array([], "int64"),
                              "closed": pd.array([], "int64"),
                              "open_eod": pd.array([], "int64")})
-    agg = deltas.groupby("d", as_index=False)[["opened", "closed"]].sum()
-    agg = agg.sort_values("d").reset_index(drop=True)
     agg["open_eod"] = (agg["opened"] - agg["closed"]).cumsum().astype("int64")
     agg["opened"] = agg["opened"].astype("int64")
     agg["closed"] = agg["closed"].astype("int64")
@@ -4667,8 +4416,8 @@ FROM k GROUP BY 1
 def lineitem_benford(sf_dir: str):
     """Benford's-law first-significant-digit audit of extendedprice —
     the classic fraud/synthetic-data detector: observed digit counts vs
-    the expected ``n·log10(1 + 1/d)``.  The census is a 9-cell perfect
-    combiner (one tiny fold); expectations are micro-ints of ONE glibc
+    the expected ``n·log10(1 + 1/d)``.  The census is a 9-cell
+    ``fold_groups``; expectations are micro-ints of ONE glibc
     log expression per digit, so parity is unconditional.  The χ²-style
     deviation is a client-side division away — the exact integers ride
     in the row."""
@@ -4683,17 +4432,11 @@ def lineitem_benford(sf_dir: str):
         # first significant digit via the decimal string (mirror of the
         # oracle's substr) — vectorized through numpy's str kernel
         first = np.char.lstrip(cents.astype(str), "0").astype("<U1")
-        d = first.astype("int64")
-        u, c = np.unique(d, return_counts=True)
-        return pd.DataFrame({"digit": pd.array(u, "int64"),
-                             "observed": pd.array(c.astype("int64"),
-                                                  "int64")})
+        return pd.DataFrame({"digit": first.astype("int64"), "observed": 1})
 
-    cen = (
-        li.map_batches(arrow_out(partial), batch_format="pandas")
-        .to_pandas()  # ≤ batches × 9 rows
-        .groupby("digit")["observed"].sum()
-    )
+    cen = fold_groups(  # ≤ 9 rows
+        li.map_batches(arrow_out(partial), batch_format="pandas"),
+        ["digit"], [("observed", "sum")]).set_index("digit")["observed"]
     n = int(cen.sum())
     digits = list(range(1, 10))
     obs = [int(cen.get(d, 0)) for d in digits]
@@ -4772,9 +4515,10 @@ def parts_assoc_rules(sf_dir: str):
             ignore_index=True)
         return out
 
-    nstats = bucketed_group_map(op, ["o"], part_count_partial).to_pandas()
+    nstats = fold_groups(  # ≤ |parts| + 1 rows
+        bucketed_group_map(op, ["o"], part_count_partial), ["p"], [("n", "sum")])
     n_orders = int(nstats.loc[nstats["p"] == -1, "n"].sum())
-    nparts = nstats[nstats["p"] != -1].groupby("p")["n"].sum()
+    nparts = nstats[nstats["p"] != -1].set_index("p")["n"]
     n_ref = ray.put(dict(zip(nparts.index, nparts.astype(int))))
 
     def pair_partial(g: pd.DataFrame) -> pd.DataFrame:
@@ -4852,13 +4596,11 @@ def lineitem_weighted_median(sf_dir: str):
     statistic (selection-only, zero floats): the smallest cent value v
     with ``2·cumweight(≤v) ≥ W``.  The distinct-value weight census is
     PRICE-DOMAIN-bounded (≤ ~10⁷ distinct cents at any scale factor —
-    the ``tables_profile`` artifact posture), so one bucketed exchange
-    folds it and the cumulative pick runs on the bounded series; for
+    the ``tables_profile`` artifact posture), so ``fold_groups`` folds
+    it and the cumulative pick runs on the bounded series; for
     unbounded value domains compose the histogram-narrowing core
     (`stages/quantiles.py`) with weight sums instead."""
     import numpy as np
-
-    from ..stages.shuffle import bucketed_group_map
 
     li = _read(sf_dir, "lineitem",
                columns=["l_extendedprice", "l_quantity"])
@@ -4866,18 +4608,11 @@ def lineitem_weighted_median(sf_dir: str):
     def census_partial(b: pd.DataFrame) -> pd.DataFrame:
         v = np.rint(b["l_extendedprice"].to_numpy() * 100).astype("int64")
         w = np.rint(b["l_quantity"].to_numpy()).astype("int64")
-        return (pd.DataFrame({"v": v, "w": w})
-                .groupby("v", sort=False, as_index=False)["w"].sum())
+        return pd.DataFrame({"v": v, "w": w})
 
-    cen = (
-        bucketed_group_map(
-            li.map_batches(arrow_out(census_partial), batch_format="pandas"),
-            ["v"],
-            lambda g: g.groupby("v", sort=False, as_index=False)["w"].sum(),
-        )
-        .to_pandas()  # price-domain-bounded artifact
-        .groupby("v")["w"].sum().sort_index()
-    )
+    cen = fold_groups(  # price-domain-bounded artifact
+        li.map_batches(arrow_out(census_partial), batch_format="pandas"),
+        ["v"], [("w", "sum")]).set_index("v")["w"]
     total = int(cen.sum())
     cum = cen.cumsum()
     med = int(cum.index[(2 * cum >= total).argmax()])
@@ -4924,7 +4659,6 @@ def supplier_gini(sf_dir: str):
     import math
 
     import ray
-    from ray.data.aggregate import Sum
 
     from ..stages.shuffle import bucketed_group_map
 
@@ -4959,15 +4693,11 @@ def supplier_gini(sf_dir: str):
         ["suppkey"], census_final,
     ).materialize()
 
-    counts = (
+    counts = fold_groups(  # ≤ range-buckets rows
         keyed.map_batches(
-            arrow_out(lambda b: b.groupby("vbucket", sort=False)
-                      .size().rename("c").reset_index()),
-            batch_format="pandas",
-        )
-        .to_pandas()
-        .groupby("vbucket")["c"].sum().sort_index()
-    )
+            arrow_out(lambda b: pd.DataFrame({"vbucket": b["vbucket"], "c": 1})),
+            batch_format="pandas"),
+        ["vbucket"], [("c", "sum")]).set_index("vbucket")["c"]
     n = int(counts.sum())
     off = counts.cumsum().shift(fill_value=0)
     off_ref = ray.put({int(vb): int(o) for vb, o in off.items()})
@@ -4993,9 +4723,11 @@ def supplier_gini(sf_dir: str):
              "sum_u": pd.array([r[1] for r in rows], "int64")}
         )
 
-    m = bucketed_group_map(keyed, ["vbucket"], rank_partial).to_pandas()
-    gini_num = int(m["num_hi"].sum()) * LIMB + int(m["num_lo"].sum())
-    sum_u = int(m["sum_u"].sum())
+    m = fold_groups(
+        bucketed_group_map(keyed, ["vbucket"], rank_partial), [],
+        [("num_hi", "sum"), ("num_lo", "sum"), ("sum_u", "sum")]).iloc[0]
+    gini_num = int(m["num_hi"]) * LIMB + int(m["num_lo"])
+    sum_u = int(m["sum_u"])
     gini_micro = math.floor(
         1e6 * float(gini_num) / (float(n) * float(sum_u)) + 0.5)
     return pd.DataFrame(
@@ -5047,8 +4779,6 @@ def nations_trade_matrix(sf_dir: str):
     rows and the per-cell aggregate fuses into the join buckets."""
     import pyarrow as pa
     import ray
-
-    from ray.data.aggregate import Sum
 
     from ..stages.joins import hash_join
 
@@ -5112,10 +4842,8 @@ def nations_trade_matrix(sf_dir: str):
                                 ("rev_u", pa.int64())]),
         bucket_post=cell_partial,
     )
-    cells = (
-        joined.to_pandas()  # ≤ buckets × 625 rows
-        .groupby(["supp_nat", "cust_nat"], as_index=False)["rev_u"].sum()
-    )
+    cells = fold_groups(  # ≤ 625 rows
+        joined, ["supp_nat", "cust_nat"], [("rev_u", "sum")])
     return pd.DataFrame(
         {"supp_nation": pd.array(
             [name_by_key[int(k)] for k in cells["supp_nat"]], "str"),
@@ -5159,14 +4887,11 @@ def orders_trend(sf_dir: str):
     def partial(b: pd.DataFrame) -> pd.DataFrame:
         m = b["o_orderdate"].to_numpy().astype("datetime64[M]").view("int64")
         cents = np.rint(b["o_totalprice"].to_numpy() * 100).astype("int64")
-        return (pd.DataFrame({"m": m, "cents": cents})
-                .groupby("m", sort=False, as_index=False)["cents"].sum())
+        return pd.DataFrame({"m": m, "cents": cents})
 
-    cen = (
-        orders.map_batches(arrow_out(partial), batch_format="pandas")
-        .to_pandas()  # calendar-bounded artifact
-        .groupby("m")["cents"].sum().sort_index()
-    )
+    cen = fold_groups(  # calendar-bounded artifact
+        orders.map_batches(arrow_out(partial), batch_format="pandas"),
+        ["m"], [("cents", "sum")]).set_index("m")["cents"]
     lo, hi = int(cen.index.min()), int(cen.index.max())
     dense_idx = np.arange(lo, hi + 1)
     dense = np.zeros(len(dense_idx), dtype="int64")
@@ -5219,8 +4944,8 @@ def orders_theilsen(sf_dir: str):
     median itself NEVER divides: the two middle order statistics are
     emitted as int64 (equal when the pair count is odd).
 
-    Shape: distributed per-batch (day, cents) combiner → calendar-
-    bounded driver artifact (≤ one row per day at ANY scale) → the
+    Shape: per-row (day, cents) columns folded by ``fold_groups`` → a
+    calendar-bounded driver artifact (≤ one row per day at ANY scale) → the
     O(days²) pairwise stage runs vectorized on the bounded series
     (the ``orders_trend`` / ``events_dau_mau`` bounded-artifact
     pattern)."""
@@ -5231,14 +4956,11 @@ def orders_theilsen(sf_dir: str):
     def partial(b: pd.DataFrame) -> pd.DataFrame:
         d = b["o_orderdate"].to_numpy().astype("datetime64[D]").view("int64")
         cents = np.rint(b["o_totalprice"].to_numpy() * 100).astype("int64")
-        return (pd.DataFrame({"d": d, "cents": cents})
-                .groupby("d", sort=False, as_index=False)["cents"].sum())
+        return pd.DataFrame({"d": d, "cents": cents})
 
-    cen = (
-        orders.map_batches(arrow_out(partial), batch_format="pandas")
-        .to_pandas()  # calendar-bounded artifact
-        .groupby("d")["cents"].sum().sort_index()
-    )
+    cen = fold_groups(  # calendar-bounded artifact
+        orders.map_batches(arrow_out(partial), batch_format="pandas"),
+        ["d"], [("cents", "sum")]).set_index("d")["cents"]
     d = cen.index.to_numpy("int64")
     r = cen.to_numpy("int64")
     i, j = np.triu_indices(len(d), k=1)
@@ -5348,8 +5070,6 @@ def lineitem_zonemap_scan(sf_dir: str) -> pd.DataFrame:
     pruning stacked on Parquet's own row-group stats (pruning measured
     to bite in `tests/test_operators.py`).  The aggregate itself is the
     exact int64-cent month census."""
-    from ray.data.aggregate import Sum
-
     from ..stages.zonemap import load_zonemap, pruned_range_read
 
     root = _zonemap_shards(sf_dir)
@@ -5362,16 +5082,11 @@ def lineitem_zonemap_scan(sf_dir: str) -> pd.DataFrame:
         month = (b["l_shipdate"].to_numpy()
                  .astype("datetime64[M]").astype("datetime64[us]"))
         c = np.rint(b["l_extendedprice"].to_numpy() * 100).astype("int64")
-        g = (pd.DataFrame({"month": month, "c": c, "n": 1})
-             .groupby("month", sort=False).agg(
-                 c=("c", "sum"), n=("n", "sum")).reset_index())
-        return g.astype({"c": "int64", "n": "int64"})
+        return pd.DataFrame({"month": month, "c": c, "n": 1})
 
-    agg = (ds.map_batches(arrow_out(partial), batch_format="pandas")
-           .to_pandas()  # ≤ batches×months-in-range partial rows
-           .groupby("month", as_index=False)
-           .agg(c=("c", "sum"), n=("n", "sum"))
-           .sort_values("month").reset_index(drop=True))
+    agg = fold_groups(  # ≤ months-in-range rows
+        ds.map_batches(arrow_out(partial), batch_format="pandas"),
+        ["month"], [("c", "sum"), ("n", "sum")])
     return pd.DataFrame(
         {"month": agg["month"].to_numpy().astype("datetime64[us]"),
          "n_lines": agg["n"].astype("int64"),
@@ -5537,16 +5252,14 @@ def supplier_theil(sf_dir: str):
         )
         return out.astype("int64")
 
-    parts = bucketed_group_map(
-        li.map_batches(arrow_out(partial), batch_format="pandas",
-                       batch_size=65536),
-        ["suppkey"], nation_partial,
-    ).to_pandas()  # <= buckets x 25 rows
-
-    agg = parts.groupby("nationkey").agg(
-        n=("n", "sum"), s_lo=("s_lo", "sum"), s_hi=("s_hi", "sum"),
-        t_lo=("t_lo", "sum"), t_hi=("t_hi", "sum"),
-    )
+    agg = fold_groups(  # ≤ 25 rows
+        bucketed_group_map(
+            li.map_batches(arrow_out(partial), batch_format="pandas",
+                           batch_size=65536),
+            ["suppkey"], nation_partial,
+        ), ["nationkey"],
+        [(c, "sum") for c in ("n", "s_lo", "s_hi", "t_lo", "t_hi")],
+    ).set_index("nationkey")
     per = {
         int(nk): (int(r.n), int(r.s_hi) * LIMB + int(r.s_lo),
                   int(r.t_hi) * LIMB + int(r.t_lo))
@@ -5650,9 +5363,14 @@ def lineitem_corr_matrix(sf_dir: str):
             vals[f"c{i}{j}_lo"], vals[f"c{i}{j}_hi"] = s % LIMB, s // LIMB
         return pd.DataFrame([vals]).astype("int64")
 
-    agg = li.map_batches(arrow_out(partial), batch_format="pandas",
-                         batch_size=16384).to_pandas()  # blocks×1 tiny rows
-    tot = {c: int(agg[c].sum()) for c in agg.columns}
+    sums = ["n"] + [f"{t}{i}_{limb}" for i in range(4) for t in ("s", "q")
+                    for limb in ("lo", "hi")] + [
+        f"c{i}{j}_{limb}" for i, j in pairs for limb in ("lo", "hi")]
+    agg = fold_groups(
+        li.map_batches(arrow_out(partial), batch_format="pandas",
+                       batch_size=16384),
+        [], [(c, "sum") for c in sums]).iloc[0]
+    tot = {c: int(agg[c]) for c in sums}
     n = tot["n"]
 
     def big(tag: str) -> int:
@@ -5717,10 +5435,7 @@ def orders_runs_test(sf_dir: str):
 
     def partial(b: pd.DataFrame) -> pd.DataFrame:
         c = np.rint(b["o_totalprice"].to_numpy() * 100).astype("int64")
-        return (
-            pd.DataFrame({"day": b["o_orderdate"], "c": c})
-            .groupby("day", sort=False, as_index=False)["c"].sum()
-        )
+        return pd.DataFrame({"day": b["o_orderdate"], "c": c})
 
     daily = fold_groups(  # ≤ #days rows
         orders.map_batches(arrow_out(partial), batch_format="pandas"),
@@ -5848,13 +5563,13 @@ def tables_fk_discovery(sf_dir: str):
         d0 = d.loc[d["side"] == 0, ["pair", "v"]]
         d1 = d.loc[d["side"] == 1, ["pair", "v"]].assign(m=1)
         mg = d0.merge(d1, on=["pair", "v"], how="left")
-        agg = mg.groupby("pair", sort=False).agg(
-            nc=("v", "size"), nm=("m", "count")).reset_index()
-        return agg.astype({"pair": "int64", "nc": "int64", "nm": "int64"})
+        return pd.DataFrame({"pair": mg["pair"].astype("int64"), "nc": 1,
+                             "nm": mg["m"].notna().astype("int64")})
 
-    got = bucketed_group_map(uni, ["pair", "v"], count_bucket).to_pandas()
-    fold = (got.groupby("pair", sort=False)[["nc", "nm"]].sum()
-            .reindex(range(len(_FK_CANDIDATES)), fill_value=0))
+    fold = fold_groups(
+        bucketed_group_map(uni, ["pair", "v"], count_bucket), ["pair"],
+        [("nc", "sum"), ("nm", "sum")],
+    ).set_index("pair").reindex(range(len(_FK_CANDIDATES)), fill_value=0)
     rows = []
     for idx, (ct, cc, pt, pcol) in enumerate(_FK_CANDIDATES):
         nc, nm = int(fold.loc[idx, "nc"]), int(fold.loc[idx, "nm"])
@@ -5912,10 +5627,7 @@ def orders_seasonal_decompose(sf_dir: str):
 
     def partial(b: pd.DataFrame) -> pd.DataFrame:
         c = np.rint(b["o_totalprice"].to_numpy() * 100).astype("int64")
-        return (
-            pd.DataFrame({"day": b["o_orderdate"], "c": c})
-            .groupby("day", sort=False, as_index=False)["c"].sum()
-        )
+        return pd.DataFrame({"day": b["o_orderdate"], "c": c})
 
     daily = fold_groups(  # ≤ #days rows
         orders.map_batches(arrow_out(partial), batch_format="pandas"),
@@ -6047,17 +5759,16 @@ def tables_fd_discovery(sf_dir: str) -> pd.DataFrame:
     def census(g: pd.DataFrame) -> pd.DataFrame:
         d = g.drop_duplicates(["cand", "det", "dep"])
         dd = d.drop_duplicates(["cand", "det"])
-        n_pairs = d.groupby("cand", sort=False).size()
-        n_det = dd.groupby("cand", sort=False).size()
-        agg = pd.DataFrame({"cand": n_pairs.index.to_numpy("int64"),
-                            "n_pairs": n_pairs.to_numpy("int64"),
-                            "n_det": n_det.reindex(n_pairs.index)
-                            .to_numpy("int64")})
-        return agg
+        return pd.DataFrame(
+            {"cand": np.concatenate([d["cand"].to_numpy("int64"),
+                                     dd["cand"].to_numpy("int64")]),
+             "n_pairs": np.repeat(np.array([1, 0], "int64"), [len(d), len(dd)]),
+             "n_det": np.repeat(np.array([0, 1], "int64"), [len(d), len(dd)])})
 
-    got = bucketed_group_map(uni, ["cand", "det"], census).to_pandas()
-    fold = (got.groupby("cand", sort=False)[["n_pairs", "n_det"]]
-            .sum().reindex(range(len(FD_CANDIDATES)), fill_value=0))
+    fold = fold_groups(
+        bucketed_group_map(uni, ["cand", "det"], census), ["cand"],
+        [("n_pairs", "sum"), ("n_det", "sum")],
+    ).set_index("cand").reindex(range(len(FD_CANDIDATES)), fill_value=0)
     out = pd.DataFrame(
         {"tbl": pd.array([t for t, _, _ in FD_CANDIDATES], "str"),
          "det": pd.array([d for _, d, _ in FD_CANDIDATES], "str"),
@@ -6220,10 +5931,8 @@ def lineitem_zorder_scan(sf_dir: str) -> pd.DataFrame:
     def partial(b: pd.DataFrame) -> pd.DataFrame:
         qty = np.rint(b["l_quantity"].to_numpy()).astype("int64")
         c = np.rint(b["l_extendedprice"].to_numpy() * 100).astype("int64")
-        g = (pd.DataFrame({"suppkey": b["l_suppkey"].astype("int64"),
-                           "n": 1, "q": qty, "c": c})
-             .groupby("suppkey", sort=False, as_index=False).sum())
-        return g.astype("int64")
+        return pd.DataFrame({"suppkey": b["l_suppkey"].astype("int64"),
+                             "n": 1, "q": qty, "c": c})
 
     agg = fold_groups(  # <= #suppliers-in-range rows
         ds.map_batches(arrow_out(partial), batch_format="pandas"),
@@ -6518,15 +6227,13 @@ def sales_hierarchy_share(sf_dir: str) -> pd.DataFrame:
     li = (_read(sf_dir, "lineitem",
                 columns=["l_orderkey", "l_extendedprice", "l_discount"])
           .map_batches(arrow_out(rev_partial), batch_format="pandas"))
-    cen = (hash_join(
+    cen = fold_groups(hash_join(
         li, base, on=["l_orderkey"],
         left_schema=pa.schema([("l_orderkey", pa.int64()),
                                ("u", pa.int64())]),
         right_schema=pa.schema([("l_orderkey", pa.int64()),
                                 ("nationkey", pa.int64())]),
-        bucket_post=nation_partial)
-        .to_pandas()  # <= |nations| x buckets partial rows
-        .groupby("nationkey", as_index=False)["u"].sum())
+        bucket_post=nation_partial), ["nationkey"], [("u", "sum")])  # ≤ |nations|
 
     nat = nation.merge(region, left_on="n_regionkey",
                        right_on="r_regionkey")
@@ -6587,8 +6294,6 @@ def orders_holt(sf_dir: str) -> pd.DataFrame:
     Shape: distributed per-batch month census (exact int64 cents) →
     ≤ #months driver rows (bounded artifact) → O(months) driver
     recursion.  The oracle is a recursive CTE over the same census."""
-    from ray.data.aggregate import Sum
-
     orders = _read(sf_dir, "orders", columns=["o_orderdate", "o_totalprice"])
 
     def partial(b: pd.DataFrame) -> pd.DataFrame:
@@ -6597,18 +6302,11 @@ def orders_holt(sf_dir: str) -> pd.DataFrame:
             .astype("datetime64[M]").astype("datetime64[us]")
         )
         c = np.rint(b["o_totalprice"].to_numpy() * 100).astype("int64")
-        return (
-            pd.DataFrame({"month": month, "c": c})
-            .groupby("month", sort=False)["c"].sum().reset_index()
-        )
+        return pd.DataFrame({"month": month, "c": c})
 
-    agg = (
-        orders.map_batches(arrow_out(partial), batch_format="pandas")
-        .to_pandas()  # ≤ batches×months partial rows — bounded artifact
-        .groupby("month", as_index=False)["c"].sum()
-        .sort_values("month")
-        .reset_index(drop=True)
-    )
+    agg = fold_groups(  # ≤ #months rows — bounded artifact
+        orders.map_batches(arrow_out(partial), batch_format="pandas"),
+        ["month"], [("c", "sum")])
     x = [int(v) for v in agg["c"]]
     levels, trends = [], []
     l_prev = b_prev = 0
@@ -6674,8 +6372,6 @@ def orders_isotonic(sf_dir: str) -> pd.DataFrame:
     is the same double bit-for-bit.  avg/fitted stay UNROUNDED (never
     oracle a rounded division — CLAUDE.md tie lesson); prices in
     dollars via one final /100.0 of identical ints."""
-    from ray.data.aggregate import Sum
-
     orders = _read(sf_dir, "orders", columns=["o_orderdate", "o_totalprice"])
 
     def partial(b: pd.DataFrame) -> pd.DataFrame:
@@ -6684,20 +6380,11 @@ def orders_isotonic(sf_dir: str) -> pd.DataFrame:
             .astype("datetime64[D]").astype("datetime64[us]")
         )
         c = np.rint(b["o_totalprice"].to_numpy() * 100).astype("int64")
-        return (
-            pd.DataFrame({"day": day, "s": c})
-            .groupby("day", sort=False)
-            .agg(s=("s", "sum"), n=("s", "size"))
-            .reset_index()
-        )
+        return pd.DataFrame({"day": day, "s": c, "n": 1})
 
-    agg = (
-        orders.map_batches(arrow_out(partial), batch_format="pandas")
-        .to_pandas()  # ≤ batches×days partial rows — bounded artifact
-        .groupby("day", as_index=False).agg(s=("s", "sum"), n=("n", "sum"))
-        .sort_values("day")
-        .reset_index(drop=True)
-    )
+    agg = fold_groups(  # ≤ #days rows — bounded artifact
+        orders.map_batches(arrow_out(partial), batch_format="pandas"),
+        ["day"], [("s", "sum"), ("n", "sum")])
     s = [int(v) for v in agg["s"]]
     n = [int(v) for v in agg["n"]]
     # PAVA over (sum, weight) blocks; Python ints → exact comparisons
@@ -6955,12 +6642,10 @@ def orders_backtest(sf_dir: str) -> pd.DataFrame:
     (|3·actual − Σ₃| and 3·|actual − prev| are both exact int64), and
     the MAE ratio is ONE final division mirrored in the oracle.
 
-    Distributed shape: the int64-cent monthly census is per-batch
-    combiner partials + one tiny groupby (≤ #months rows — a bounded
-    artifact), then the backtest itself is a driver-side prefix sweep
-    over the sorted census.  Nothing row-scale leaves the cluster."""
-    from ray.data.aggregate import Sum
-
+    Distributed shape: the int64-cent monthly census is one
+    ``fold_groups`` (≤ #months rows — a bounded artifact), then the
+    backtest itself is a driver-side prefix sweep over the sorted
+    census.  Nothing row-scale leaves the cluster."""
     orders = _read(sf_dir, "orders", columns=["o_orderdate", "o_totalprice"])
 
     def partial(b: pd.DataFrame) -> pd.DataFrame:
@@ -6969,18 +6654,11 @@ def orders_backtest(sf_dir: str) -> pd.DataFrame:
             .astype("datetime64[M]").astype("datetime64[us]")
         )
         c = np.rint(b["o_totalprice"].to_numpy() * 100).astype("int64")
-        return (
-            pd.DataFrame({"month": month, "c": c})
-            .groupby("month", sort=False)["c"].sum().reset_index()
-        )
+        return pd.DataFrame({"month": month, "c": c})
 
-    census = (
-        orders.map_batches(arrow_out(partial), batch_format="pandas")
-        .to_pandas()  # ≤ batches×months partial rows — bounded artifact
-        .groupby("month", as_index=False)["c"].sum()
-        .sort_values("month")
-        .reset_index(drop=True)
-    )
+    census = fold_groups(  # ≤ #months rows — bounded artifact
+        orders.map_batches(arrow_out(partial), batch_format="pandas"),
+        ["month"], [("c", "sum")])
     rev = census["c"].to_numpy("int64")
     if len(rev) < 4:
         return pd.DataFrame(
@@ -7067,21 +6745,11 @@ def orders_woe(sf_dir: str) -> pd.DataFrame:
         v = np.rint(b["o_totalprice"].to_numpy() * 100).astype("int64")
         bad = (b["o_orderstatus"].to_numpy() == "F").astype("int64")
         bin_ = (v[:, None] > cuts[None, :]).sum(axis=1).astype("int64")
-        return (
-            pd.DataFrame({"bin": bin_, "bad": bad})
-            .groupby("bin", sort=False)
-            .agg(n_good=("bad", lambda s: int((1 - s).sum())),
-                 n_bad=("bad", "sum"))
-            .reset_index()
-        )
+        return pd.DataFrame({"bin": bin_, "n_good": 1 - bad, "n_bad": bad})
 
-    parts = (
-        orders.map_batches(arrow_out(census), batch_format="pandas")
-        .to_pandas()  # ≤ 4 rows per batch — bounded partials
-        .groupby("bin", sort=True)
-        .agg(n_good=("n_good", "sum"), n_bad=("n_bad", "sum"))
-        .reset_index()
-    )
+    parts = fold_groups(  # ≤ 4 rows
+        orders.map_batches(arrow_out(census), batch_format="pandas"),
+        ["bin"], [("n_good", "sum"), ("n_bad", "sum")])
     G = int(parts["n_good"].sum())
     B = int(parts["n_bad"].sum())
     g = parts["n_good"].to_numpy("int64")
@@ -7180,8 +6848,8 @@ def orders_apportion(sf_dir: str) -> pd.DataFrame:
         left_schema=pa.schema([("custkey", pa.int64()), ("cents", pa.int64())]),
         right_schema=pa.schema([("custkey", pa.int64()), ("nationkey", pa.int64())]),
         bucket_post=per_nation,
-    ).to_pandas()  # ≤ 25×buckets rows — bounded artifact
-    rev = joined.groupby("nationkey", sort=True)["cents"].sum().reset_index()
+    )
+    rev = fold_groups(joined, ["nationkey"], [("cents", "sum")])  # ≤ 25 rows
 
     nation = _read_dim(sf_dir, "nation", columns=["n_nationkey", "n_name"])
     rev = rev.merge(
@@ -7270,34 +6938,19 @@ def customers_kanon(sf_dir: str) -> pd.DataFrame:
     rows = cust.map_batches(arrow_out(qi), batch_format="pandas")
 
     def classes(g: pd.DataFrame) -> pd.DataFrame:
-        c = (
-            g.groupby(["nationkey", "segment", "band"], sort=False)
-            .size().rename("n").reset_index()
-        )
-        small = c[c["n"] < KANON_K]
-        out = c.groupby("nationkey", sort=False).agg(
-            n_rows=("n", "sum"), n_classes=("n", "size")
-        )
-        s = small.groupby("nationkey", sort=False).agg(
-            n_small_classes=("n", "size"), n_rows_at_risk=("n", "sum")
-        )
-        return (
-            out.join(s, how="left")
-            .fillna({"n_small_classes": 0, "n_rows_at_risk": 0})
-            .reset_index()
-        )
+        # one row per equivalence class, complete in its bucket
+        c = group_frame(g.assign(n=1), ["nationkey", "segment", "band"],
+                        [("n", "sum")])
+        small = (c["n"] < KANON_K).astype("int64")
+        return pd.DataFrame({"nationkey": c["nationkey"], "n_rows": c["n"],
+                             "n_classes": 1, "n_small_classes": small,
+                             "n_rows_at_risk": c["n"] * small})
 
     # bucket on the FULL QI key so a class never splits across buckets
-    parts = bucketed_group_map(
-        rows, ["nationkey", "segment", "band"], classes
-    ).to_pandas()
-    agg = (
-        parts.groupby("nationkey", sort=True)
-        .agg(n_rows=("n_rows", "sum"), n_classes=("n_classes", "sum"),
-             n_small_classes=("n_small_classes", "sum"),
-             n_rows_at_risk=("n_rows_at_risk", "sum"))
-        .reset_index()
-    )
+    agg = fold_groups(  # ≤ |nations| rows
+        bucketed_group_map(rows, ["nationkey", "segment", "band"], classes),
+        ["nationkey"], [(c, "sum") for c in ("n_rows", "n_classes",
+                                             "n_small_classes", "n_rows_at_risk")])
     return pd.DataFrame({c: agg[c].astype("int64") for c in agg.columns})
 
 
@@ -7335,24 +6988,13 @@ def customers_clv(sf_dir: str) -> pd.DataFrame:
     DuckDB (the events_entropy ln precedent), and the power is taken on
     exact integer month counts, so the per-order addends match bit-for-bit.
 
-    Distributed shape: the month anchor is one cheap max-census; the
-    per-customer fold is a combiner + ONE bucketed exchange; top-20 by
-    (clv DESC, custkey ASC) is a grouped-topn, then the name resolve
-    joins only 20 keys."""
-    from ..stages.shuffle import bucketed_group_map
-
+    Distributed shape: the month anchor is one cheap max fold; the
+    per-customer sums are a customer-bounded ``fold_groups`` census;
+    top-20 by (clv DESC, custkey ASC) is cut on the driver."""
     orders = _read(sf_dir, "orders", columns=["o_custkey", "o_orderdate", "o_totalprice"])
 
-    def month_partial(b: pd.DataFrame) -> pd.DataFrame:
-        m = b["o_orderdate"].to_numpy().astype("datetime64[M]")
-        return pd.DataFrame({"mx": [m.max()]}) if len(m) else pd.DataFrame(
-            {"mx": pd.array([], "datetime64[M]")}
-        )
-
-    anchor = (
-        orders.map_batches(arrow_out(month_partial), batch_format="pandas")
-        .to_pandas()["mx"].max()
-    )
+    anchor = fold_groups(orders.select_columns(["o_orderdate"]), [],
+                         [("o_orderdate", "max")])["o_orderdate"].iloc[0]
     anchor_m = np.datetime64(anchor, "M")
 
     def partial(b: pd.DataFrame) -> pd.DataFrame:
@@ -7363,26 +7005,12 @@ def customers_clv(sf_dir: str) -> pd.DataFrame:
         disc = np.floor(cents * np.power(CLV_DECAY, age.astype("float64")) + 0.5).astype(
             "int64"
         )
-        return (
-            pd.DataFrame({"custkey": b["o_custkey"].astype("int64"), "d": disc})
-            .groupby("custkey", sort=False)
-            .agg(n_orders=("d", "size"), clv_cents=("d", "sum"))
-            .reset_index()
-        )
+        return pd.DataFrame({"custkey": b["o_custkey"].astype("int64"),
+                             "n_orders": 1, "clv_cents": disc})
 
-    parts = orders.map_batches(arrow_out(partial), batch_format="pandas")
-
-    def fold(g: pd.DataFrame) -> pd.DataFrame:
-        agg = (
-            g.groupby("custkey", sort=False)
-            .agg(n_orders=("n_orders", "sum"), clv_cents=("clv_cents", "sum"))
-            .reset_index()
-        )
-        return agg.sort_values(
-            ["clv_cents", "custkey"], ascending=[False, True], kind="mergesort"
-        ).head(20)  # per-bucket top-20 — global top-20 survives
-
-    cand = bucketed_group_map(parts, ["custkey"], fold).to_pandas()
+    cand = fold_groups(  # ≤ |customers| rows
+        orders.map_batches(arrow_out(partial), batch_format="pandas"),
+        ["custkey"], [("n_orders", "sum"), ("clv_cents", "sum")])
     top = (
         cand.sort_values(["clv_cents", "custkey"], ascending=[False, True],
                          kind="mergesort")
@@ -7597,15 +7225,11 @@ def lineitem_skyline(sf_dir: str) -> pd.DataFrame:
         price = np.rint(b["l_extendedprice"].to_numpy() * 100).astype("int64")
         qty = np.rint(b["l_quantity"].to_numpy()).astype("int64")
         df = pd.DataFrame({"price_cents": price, "qty": qty})
-        df = df[[p in pairs for p in zip(price, qty)]]
-        g = df.groupby(["price_cents", "qty"], sort=False).size()
-        return g.reset_index(name="n_lines").astype("int64")
+        return df[[p in pairs for p in zip(price, qty)]].assign(n_lines=1)
 
-    counts = ds.map_batches(arrow_out(count),
-                            batch_format="pandas").to_pandas()
-    if len(counts):
-        counts = counts.groupby(["price_cents", "qty"],
-                                as_index=False)["n_lines"].sum()
+    counts = fold_groups(  # ≤ skyline rows
+        ds.map_batches(arrow_out(count), batch_format="pandas"),
+        ["price_cents", "qty"], [("n_lines", "sum")])
     out = sky.merge(counts, on=["price_cents", "qty"], how="left")
     out["n_lines"] = out["n_lines"].fillna(0).astype("int64")
     return (out.sort_values("price_cents").reset_index(drop=True)
@@ -7633,8 +7257,8 @@ ORDER BY price_cents
 def lineitem_moments(sf_dir: str) -> pd.DataFrame:
     """Per-returnflag SKEWNESS and EXCESS KURTOSIS of quantity from the
     exact integer power sums ΣX, ΣX², ΣX³, ΣX⁴ (the 3rd/4th-moment
-    extension of ``lineitem_qty_stats``): per-batch int64 partials ride
-    one tiny groupby; the ONLY float arithmetic is the driver-side
+    extension of ``lineitem_qty_stats``): per-row int64 power columns
+    fold through ``fold_groups``; the ONLY float arithmetic is the driver-side
     closed form, mirrored term-for-term in the oracle and emitted as
     floor-micro ints (qty ≤ 50 ⇒ Σx⁴ ≤ n·6.25e6 — two-limb per the
     ``lineitem_regression`` contract once n approaches 10¹²)."""
@@ -7642,15 +7266,14 @@ def lineitem_moments(sf_dir: str) -> pd.DataFrame:
 
     def partial(b: pd.DataFrame) -> pd.DataFrame:
         x = np.rint(b["l_quantity"].to_numpy()).astype("int64")
-        g = pd.DataFrame({
+        return pd.DataFrame({
             "flag": b["l_returnflag"].astype(str), "n": 1, "s1": x,
             "s2": x * x, "s3": x ** 3, "s4": x ** 4,
-        }).groupby("flag", sort=False, as_index=False).sum()
-        return g
+        })
 
-    parts = ds.map_batches(arrow_out(partial),
-                           batch_format="pandas").to_pandas()
-    agg = parts.groupby("flag", as_index=False).sum()
+    agg = fold_groups(  # ≤ |returnflag| rows
+        ds.map_batches(arrow_out(partial), batch_format="pandas"), ["flag"],
+        [(c, "sum") for c in ("n", "s1", "s2", "s3", "s4")])
     n = agg["n"].to_numpy("float64")
     m1 = agg["s1"].to_numpy("float64") / n
     # central moments from raw power sums (one arithmetic path, mirrored
@@ -7741,10 +7364,7 @@ def supplier_value_share(sf_dir: str) -> pd.DataFrame:
         u = np.rint(b["l_extendedprice"].to_numpy()
                     * (1.0 - b["l_discount"].to_numpy())
                     * 10_000).astype("int64")
-        g = (pd.DataFrame({"suppkey": b["l_suppkey"].astype("int64"),
-                           "u": u})
-             .groupby("suppkey", sort=False, as_index=False)["u"].sum())
-        return g.astype("int64")
+        return pd.DataFrame({"suppkey": b["l_suppkey"].astype("int64"), "u": u})
 
     census = fold_groups(  # ≤ |suppliers| rows
         ds.map_batches(arrow_out(partial), batch_format="pandas"),
@@ -7961,27 +7581,21 @@ def orders_weekly_iso(sf_dir: str) -> pd.DataFrame:
     BI layer needs, with the ISO week-numbering edge cases (years whose
     Jan 1 falls late in a week belong to the previous ISO year) decided
     identically by pandas ``isocalendar`` and DuckDB ``yearweek``
-    family.  Per-batch int64 cent partials; the calendar-BOUNDED census
-    (≤ years·53 rows) folds driver-side — Ray aggregates on datetime
-    keys are banned in this repo (worker-side precision warnings)."""
+    family.  Per-row int64 cent columns; the calendar-BOUNDED census
+    (≤ years·53 rows) folds through ``fold_groups``."""
     ds = _read(sf_dir, "orders", columns=["o_orderdate", "o_totalprice"])
 
     def partial(b: pd.DataFrame) -> pd.DataFrame:
         d = pd.to_datetime(b["o_orderdate"])
         iso = d.dt.isocalendar()
         c = np.rint(b["o_totalprice"].to_numpy() * 100).astype("int64")
-        g = (pd.DataFrame({"iso_year": iso["year"].astype("int64"),
-                           "iso_week": iso["week"].astype("int64"),
-                           "n_orders": 1, "rev_cents": c})
-             .groupby(["iso_year", "iso_week"], sort=False, as_index=False)
-             .sum())
-        return g.astype("int64")
+        return pd.DataFrame({"iso_year": iso["year"].astype("int64"),
+                             "iso_week": iso["week"].astype("int64"),
+                             "n_orders": 1, "rev_cents": c})
 
-    parts = ds.map_batches(arrow_out(partial),
-                           batch_format="pandas").to_pandas()
-    out = (parts.groupby(["iso_year", "iso_week"], as_index=False)
-           [["n_orders", "rev_cents"]].sum()
-           .sort_values(["iso_year", "iso_week"]).reset_index(drop=True))
+    out = fold_groups(  # ≤ years·53 rows
+        ds.map_batches(arrow_out(partial), batch_format="pandas"),
+        ["iso_year", "iso_week"], [("n_orders", "sum"), ("rev_cents", "sum")])
     return out.astype("int64")
 
 
@@ -8017,13 +7631,9 @@ def customers_ldiversity(sf_dir: str) -> pd.DataFrame:
     def partial(b: pd.DataFrame) -> pd.DataFrame:
         bal = b["c_acctbal"].to_numpy()
         cls = np.where(bal < 0.0, 0, np.where(bal < 5000.0, 1, 2))
-        g = (pd.DataFrame({"nationkey": b["c_nationkey"].astype("int64"),
-                           "mktsegment": b["c_mktsegment"].astype(str),
-                           "bal_class": cls.astype("int64"), "n": 1})
-             .groupby(["nationkey", "mktsegment", "bal_class"],
-                      sort=False, as_index=False)["n"].sum())
-        return g.astype({"nationkey": "int64", "bal_class": "int64",
-                         "n": "int64"})
+        return pd.DataFrame({"nationkey": b["c_nationkey"].astype("int64"),
+                             "mktsegment": b["c_mktsegment"].astype(str),
+                             "bal_class": cls.astype("int64"), "n": 1})
 
     agg = fold_groups(
         ds.map_batches(arrow_out(partial), batch_format="pandas"),
@@ -8170,9 +7780,8 @@ def orders_lineitem_mergejoin(sf_dir: str) -> pd.DataFrame:
              "status": b["o_orderstatus"].astype(str)})
 
     def post(m: pd.DataFrame) -> pd.DataFrame:
-        g = (m.groupby("status", sort=False, as_index=False)
-             .agg(n_lines=("u", "size"), rev_u=("u", "sum")))
-        return g.astype({"n_lines": "int64", "rev_u": "int64"})
+        return pd.DataFrame({"status": m["status"], "n_lines": 1,
+                             "rev_u": m["u"].astype("int64")})
 
     lschema = pa.schema([("l_orderkey", pa.int64()), ("u", pa.int64())])
     oschema = pa.schema([("l_orderkey", pa.int64()),
@@ -8222,9 +7831,7 @@ def lineitem_kendall(sf_dir: str) -> pd.DataFrame:
     def partial(b: pd.DataFrame) -> pd.DataFrame:
         x = np.rint(b["l_quantity"].to_numpy()).astype("int64")
         y = np.rint(b["l_discount"].to_numpy() * 100).astype("int64")
-        g = (pd.DataFrame({"x": x, "y": y, "n": 1})
-             .groupby(["x", "y"], sort=False, as_index=False)["n"].sum())
-        return g.astype("int64")
+        return pd.DataFrame({"x": x, "y": y, "n": 1})
 
     cen = fold_groups(
         ds.map_batches(arrow_out(partial), batch_format="pandas"),

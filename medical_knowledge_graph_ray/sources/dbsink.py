@@ -30,6 +30,7 @@ import pandas as pd
 import pyarrow as pa
 
 from ..functions.hashing import block_digest
+from ..stages.shuffle import fold_groups
 
 _LEDGER = "_mkg_slices"
 
@@ -147,11 +148,10 @@ def write_sql_table(
             finally:
                 con.close()
 
-    census = ds.map_batches(
-        arrow_out(write_block), batch_format="pandas"
-    ).to_pandas()  # one (rows, slices) pair per block
-    return {"rows": int(census["rows"].sum()),
-            "slices": int(census["slices"].sum())}
+    census = fold_groups(  # one (rows, slices) pair per block, summed
+        ds.map_batches(arrow_out(write_block), batch_format="pandas"),
+        [], [("rows", "sum"), ("slices", "sum")]).fillna(0).iloc[0]
+    return {"rows": int(census["rows"]), "slices": int(census["slices"])}
 
 
 def read_sql_table(table: str, *, db_path: str) -> pd.DataFrame:

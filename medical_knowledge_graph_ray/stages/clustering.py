@@ -359,9 +359,7 @@ def dbscan(embeddings, *, eps_cos: float, min_pts: int, n_chunks: int = 8,
     def deg_partial(b: pd.DataFrame) -> pd.DataFrame:
         v = np.concatenate([b["vec_a"].to_numpy("int64"),
                             b["vec_b"].to_numpy("int64")])
-        out = pd.Series(v).value_counts()
-        return pd.DataFrame({"v": pd.array(out.index, "int64"),
-                             "deg": pd.array(out.to_numpy(), "int64")})
+        return pd.DataFrame({"v": v, "deg": 1})
 
     deg = fold_groups(  # node-cardinality artifact
         pairs.map_batches(arrow_out(deg_partial), batch_format="pandas"),

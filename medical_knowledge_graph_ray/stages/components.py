@@ -41,7 +41,7 @@ import pyarrow as pa
 
 from ..functions.arrow import arrow_out
 from .joins import hash_join
-from .shuffle import bucketed_group_map
+from .shuffle import bucketed_group_map, fold_groups
 
 _PROBE_SCHEMA = pa.schema(
     [("src", pa.int64()), ("dst", pa.int64())]
@@ -218,7 +218,8 @@ def connected_components(
         new_labels = bucketed_group_map(
             cand, ["src"], min_reduce, num_buckets=num_buckets
         ).materialize()
-        n_changed = new_labels.sum("changed")
+        n_changed = fold_groups(new_labels.select_columns(["changed"]), [],
+                                [("changed", "sum")]).fillna(0)["changed"].iloc[0]
         labels = (
             new_labels.drop_columns(["changed"])
             .repartition(num_buckets)

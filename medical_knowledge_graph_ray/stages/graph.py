@@ -225,9 +225,10 @@ def pagerank(
                 s = float(b.loc[b["dangling"] == 1, "rank"].sum())
                 return pd.DataFrame({"x": [s]})
 
-            dangling_sum = ranks.map_batches(
-                arrow_out(dangling_partial), batch_format="pandas"
-            ).sum("x") or 0.0
+            dangling_sum = float(fold_groups(
+                ranks.map_batches(arrow_out(dangling_partial),
+                                  batch_format="pandas"),
+                [], [("x", "sum")]).fillna(0.0)["x"].iloc[0])
 
         def contrib_post(m: pd.DataFrame) -> pd.DataFrame:
             return pd.DataFrame(
@@ -605,10 +606,7 @@ def k_core_nodes(
         def deg_partial(b: pd.DataFrame) -> pd.DataFrame:
             rm = ray.get(rm_ref)
             live = b[~b["u"].isin(rm) & ~b["v"].isin(rm)]
-            out = live["u"].value_counts().rename_axis("u").reset_index(
-                name="d")
-            out["d"] = out["d"].astype("int64")
-            return out
+            return pd.DataFrame({"u": live["u"].dropna(), "d": 1})
 
         deg = fold_groups(  # node-cardinality artifact
             adj.map_batches(arrow_out(deg_partial), batch_format="pandas"),
@@ -906,7 +904,8 @@ def hits(
             contribs.union(base), ["src"], reduce_sum,
             num_buckets=num_buckets,
         ).materialize()
-        tot = raw.sum("val") or 0.0
+        tot = float(fold_groups(raw.select_columns(["val"]), [],
+                                [("val", "sum")]).fillna(0.0)["val"].iloc[0])
 
         def norm(b: pd.DataFrame) -> pd.DataFrame:
             v = b["val"].to_numpy()

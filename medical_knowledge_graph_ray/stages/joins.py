@@ -32,14 +32,41 @@ from __future__ import annotations
 
 import numpy as np
 import pandas as pd
+import pyarrow as pa
 
 from ..functions.arrow import arrow_out
-from .shuffle import BUCKET_COL, add_bucket
+from .shuffle import BUCKET_COL, add_bucket, fold_groups
 
 _SIDE_COL = "_join_side"
 # skew="auto" prefix-sample size: big enough that a ≥5%-mass hot key is
 # seen thousands of times, small enough that mining is a sub-second pass
 SKEW_SAMPLE_ROWS = 500_000
+
+
+def _pd_dtypes(schema) -> tuple[list[str], dict]:
+    """A join side's column names and the pandas dtypes of its Arrow
+    schema, captured at plan time: the unioned bucket frame null-fills
+    the other side's columns (ints → float64 in pandas), so each side is
+    re-selected and cast back before the merge."""
+    arrow = pa.schema(list(zip(schema.names, schema.types)))
+    dt = arrow.empty_table().to_pandas().dtypes.to_dict()
+    return list(schema.names), dt
+
+
+def _restore(frame: pd.DataFrame, names: list[str], dtypes: dict) -> pd.DataFrame:
+    """One side's rows of a bucket with its own columns and dtypes.
+    reindex, not column-select: a bucket that received rows from only
+    ONE side (e.g. a sparse right side whose ~200 rows hash into few of
+    the 32 buckets) yields a group block WITHOUT the other side's
+    columns — Ray's union does not align the two schemas.  reindex
+    null-fills the missing columns so the empty side still carries its
+    full schema into the merge (the r02 driver failure:
+    docs_curation_neardup KeyError 'comp')."""
+    out = frame.reindex(columns=names)
+    for c in out.columns:
+        if c in dtypes and out[c].dtype != dtypes[c]:
+            out[c] = out[c].astype(dtypes[c])
+    return out
 
 
 def hash_join(
@@ -124,16 +151,7 @@ def hash_join(
     hot_keys = frozenset(hot_keys) if hot_keys else None
 
     # capture each side's columns/dtypes at plan time from the Arrow
-    # schema.  The unioned bucket frame null-fills the other side's
-    # columns (ints → float64 in pandas), so each side is re-selected and
-    # cast back before the merge.
-    import pyarrow as pa
-
-    def _pd_dtypes(schema) -> tuple[list[str], dict]:
-        arrow = pa.schema(list(zip(schema.names, schema.types)))
-        dt = arrow.empty_table().to_pandas().dtypes.to_dict()
-        return list(schema.names), dt
-
+    # schema (see ``_restore``)
     l_names, l_pd = _pd_dtypes(left_schema if left_schema is not None else left.schema())
     r_names, r_pd = _pd_dtypes(right_schema if right_schema is not None else right.schema())
     if how in ("left", "full"):
@@ -207,20 +225,6 @@ def hash_join(
     r_tagged = right.map_batches(arrow_out(tag(1)), batch_format="pandas")
     both = l_tagged.union(r_tagged)
 
-    def _restore(frame: pd.DataFrame, names: list[str], dtypes: dict) -> pd.DataFrame:
-        # reindex, not column-select: a bucket that received rows from only
-        # ONE side (e.g. a sparse right side whose ~200 rows hash into few
-        # of the 32 buckets) yields a group block WITHOUT the other side's
-        # columns — Ray's union does not align the two schemas.  reindex
-        # null-fills the missing columns so the empty side still carries
-        # its full schema into the merge (the r02 driver failure:
-        # docs_curation_neardup KeyError 'comp').
-        out = frame.reindex(columns=names)
-        for c in out.columns:
-            if c in dtypes and out[c].dtype != dtypes[c]:
-                out[c] = out[c].astype(dtypes[c])
-        return out
-
     def _merge(bucket: pd.DataFrame) -> pd.DataFrame:
         lmask = bucket[_SIDE_COL] == 0
         l = _restore(bucket[lmask], l_names, l_pd)
@@ -270,14 +274,10 @@ def detect_hot_keys(ds, on: list[str], *, min_frac: float = 0.05,
         out["cnt"] = out["cnt"].astype("int64")
         return out
 
-    folded = (
-        ds.map_batches(_ao(partial), batch_format="pandas").to_pandas()
-    )
-    if not len(folded):
-        return frozenset()
-    tot = folded.groupby(on)["cnt"].sum()
-    hot = tot[tot >= min_frac * folded["cnt"].sum()]
-    return frozenset(hot.index)
+    tot = fold_groups(ds.map_batches(_ao(partial), batch_format="pandas"),
+                      on, [("cnt", "sum")])
+    hot = tot[tot["cnt"] >= min_frac * tot["cnt"].sum()]
+    return frozenset(hot[on[0]] if len(on) == 1 else zip(*(hot[c] for c in on)))
 
 
 BROADCAST_ROW_BUDGET = 2_000_000
@@ -392,20 +392,13 @@ def merge_join(
 
     nb = num_buckets or default_num_buckets()
 
-    import pyarrow as pa
-
-    def _pd_dtypes(schema):
-        arrow = pa.schema(list(zip(schema.names, schema.types)))
-        dt = arrow.empty_table().to_pandas().dtypes.to_dict()
-        return list(schema.names), dt
-
     lo_k, hi_k = int(key_range[0]), int(key_range[1])
 
     def _tag(side: int):
         def fn(b: pd.DataFrame) -> pd.DataFrame:
             b = b.copy()
             k = b[on].to_numpy("int64")
-            b["_bucket"] = range_bucket(k, lo_k, hi_k, nb)
+            b[BUCKET_COL] = range_bucket(k, lo_k, hi_k, nb)
             b[_SIDE_COL] = np.int8(side)
             return b
         return fn
@@ -418,13 +411,6 @@ def merge_join(
     tagged = left.map_batches(
         arrow_out(_tag(0)), batch_format="pandas").union(
         right.map_batches(arrow_out(_tag(1)), batch_format="pandas"))
-
-    def _restore(frame, names, dtypes):
-        out = frame.reindex(columns=names)
-        for c in out.columns:
-            if c in dtypes and out[c].dtype != dtypes[c]:
-                out[c] = out[c].astype(dtypes[c])
-        return out
 
     def _merge(bucket: pd.DataFrame) -> pd.DataFrame:
         lhs = _restore(bucket[bucket[_SIDE_COL] == 0], l_names, l_pd)
@@ -449,7 +435,5 @@ def merge_join(
             out = bucket_post(out)
         return out
 
-    from .shuffle import BUCKET_COL  # noqa: F401  (naming parity)
-
-    return tagged.groupby("_bucket").map_groups(
+    return tagged.groupby(BUCKET_COL).map_groups(
         arrow_out(_merge), batch_format="pandas")

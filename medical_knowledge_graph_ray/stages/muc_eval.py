@@ -49,6 +49,8 @@ from __future__ import annotations
 
 import pandas as pd
 
+from .shuffle import fold_groups
+
 SCHEMAS = ("strict", "exact", "partial", "ent_type")
 CATEGORIES = ("correct", "incorrect", "partial", "missed", "spurious")
 
@@ -315,7 +317,7 @@ def ner_eval_dataset(
     """sentence rows → evaluated (model, ent_type, schema, counts, P, R).
 
     Two-phase: task-pool count partials (Arrow out — pandas blocks make
-    the groupby ~25× slower) → driver-side final sum + finalize.  The
+    the groupby ~25× slower) → ``fold_groups`` final sum + finalize.  The
     partials table is BOUNDED (#models × (#types+1) × 4 schemas rows per
     task — ~144 tiny rows each), so a distributed
     groupby/aggregate/sort here is pure fixed cost: Ray's sort-based
@@ -323,16 +325,13 @@ def ner_eval_dataset(
     wall for a 21k-row partials census that pandas finishes in
     milliseconds.  Same collect-the-bounded-artifact posture as the q1
     rollup and the gapfill grid."""
-    partials = sentences.map_batches(
-        muc_eval_partials_batch,
-        fn_kwargs={"trained_model_dir": trained_model_dir,
-                   "neural_model_dir": neural_model_dir},
-        batch_format="pandas",
-        batch_size=batch_size,
-    ).to_pandas()  # ≤ tasks × 144 count rows — bounded artifact
-    agg = (
-        partials.groupby(["model", "ent_type", "schema"], sort=True)[COUNT_COLS]
-        .sum()
-        .reset_index()
-    )
+    agg = fold_groups(  # ≤ #models × (#types+1) × 4 rows — bounded artifact
+        sentences.map_batches(
+            muc_eval_partials_batch,
+            fn_kwargs={"trained_model_dir": trained_model_dir,
+                       "neural_model_dir": neural_model_dir},
+            batch_format="pandas",
+            batch_size=batch_size,
+        ),
+        ["model", "ent_type", "schema"], [(c, "sum") for c in COUNT_COLS])
     return finalize_eval(agg)

@@ -235,7 +235,7 @@ def eval_neural(val_positions, params: dict) -> dict:
 
     from ..functions.arrow import arrow_out
     from .perceptron import _EvalBucket
-    from .shuffle import bucketed_group_map
+    from .shuffle import bucketed_group_map, fold_groups
 
     pref = ray.put(params)
 
@@ -262,13 +262,14 @@ def eval_neural(val_positions, params: dict) -> dict:
                  "tp": [tp], "n_pred": [len(pred_spans)],
                  "n_gold": [len(gold_spans)]})
 
-    counts = bucketed_group_map(
-        val_positions, ["sent"], _Bucket(), num_buckets=8
-    ).to_pandas()
-    correct, total = int(counts["correct"].sum()), int(counts["total"].sum())
-    tp = int(counts["tp"].sum())
-    n_pred = int(counts["n_pred"].sum())
-    n_gold = int(counts["n_gold"].sum())
+    counts = fold_groups(
+        bucketed_group_map(val_positions, ["sent"], _Bucket(), num_buckets=8),
+        [], [(c, "sum") for c in ("correct", "total", "tp", "n_pred", "n_gold")],
+    ).iloc[0]
+    correct, total = int(counts["correct"]), int(counts["total"])
+    tp = int(counts["tp"])
+    n_pred = int(counts["n_pred"])
+    n_gold = int(counts["n_gold"])
     p = tp / n_pred if n_pred else 0.0
     rcl = tp / n_gold if n_gold else 0.0
     f1 = 2 * p * rcl / (p + rcl) if p + rcl else 0.0

@@ -306,17 +306,17 @@ def eval_tagger(val_positions, W) -> dict:
     out — the MUC-I schema on the silver gold)."""
     import ray
 
-    from .shuffle import bucketed_group_map
+    from .shuffle import bucketed_group_map, fold_groups
 
     wref = ray.put(W)
-    counts = bucketed_group_map(
-        val_positions, ["sent"], _EvalBucket(wref), num_buckets=8
-    ).to_pandas()  # one count row per bucket
-    correct, total = int(counts["correct"].sum()), int(counts["total"].sum())
+    counts = fold_groups(
+        bucketed_group_map(val_positions, ["sent"], _EvalBucket(wref),
+                           num_buckets=8), [],
+        [(c, "sum") for c in ("correct", "total", "tp", "n_pred", "n_gold")],
+    ).iloc[0]
+    correct, total = int(counts["correct"]), int(counts["total"])
     tp, n_pred, n_gold = (
-        int(counts["tp"].sum()), int(counts["n_pred"].sum()),
-        int(counts["n_gold"].sum()),
-    )
+        int(counts["tp"]), int(counts["n_pred"]), int(counts["n_gold"]))
     p = tp / n_pred if n_pred else 0.0
     r = tp / n_gold if n_gold else 0.0
     f1 = 2 * p * r / (p + r) if p + r else 0.0

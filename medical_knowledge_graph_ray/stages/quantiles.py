@@ -34,6 +34,7 @@ import numpy as np
 import pandas as pd
 
 from ..functions.arrow import arrow_out
+from .shuffle import fold_groups
 
 N_BINS = 4096
 
@@ -42,20 +43,13 @@ def _stats_pass(ints_ds):
     """(n, min, max) via per-batch partials + tiny driver fold."""
 
     def partial(b: pd.DataFrame) -> pd.DataFrame:
-        v = b["v"].to_numpy()
-        if not len(v):
-            return pd.DataFrame(
-                {"n": pd.array([], "int64"), "lo": pd.array([], "int64"),
-                 "hi": pd.array([], "int64")}
-            )
-        return pd.DataFrame(
-            {"n": [len(v)], "lo": [int(v.min())], "hi": [int(v.max())]}
-        )
+        return pd.DataFrame({"n": 1, "lo": b["v"], "hi": b["v"]})
 
-    p = ints_ds.map_batches(arrow_out(partial), batch_format="pandas").to_pandas()
-    if not len(p) or p["n"].sum() == 0:
+    p = fold_groups(ints_ds.map_batches(arrow_out(partial), batch_format="pandas"),
+                    [], [("n", "sum"), ("lo", "min"), ("hi", "max")]).iloc[0]
+    if pd.isna(p["n"]):
         raise ValueError("quantile over an empty dataset")
-    lo, hi = int(p["lo"].min()), int(p["hi"].max())
+    lo, hi = int(p["lo"]), int(p["hi"])
     if hi - lo > 2**62:
         # (v - lo) in the histogram kernel is evaluated in numpy int64
         # and would wrap for ranges wider than 2^63
@@ -114,11 +108,9 @@ def values_at_ranks(ints_ds, ranks: list[int], *, stats=None) -> list[int]:
                  "cnt": np.concatenate(counts)}
             )
 
-        hist = (
-            ints_ds.map_batches(arrow_out(hist_partial), batch_format="pandas")
-            .to_pandas()
-            .groupby(["tgt", "bin"], sort=True)["cnt"].sum()
-        )
+        hist = fold_groups(
+            ints_ds.map_batches(arrow_out(hist_partial), batch_format="pandas"),
+            ["tgt", "bin"], [("cnt", "sum")]).set_index(["tgt", "bin"])["cnt"]
         for s, (i, lo, hi) in zip(live, intervals):
             step = -(-(hi - lo + 1) // N_BINS)
             sub = hist.loc[i] if i in hist.index.get_level_values(0) else None

@@ -26,6 +26,9 @@ import os
 
 import numpy as np
 import pandas as pd
+import pyarrow as pa
+
+from .shuffle import fold_groups
 
 N_SEARCH_BUCKETS = 32
 N_SERVE_BUCKETS = 8  # doc-side buckets of the serve exchanges
@@ -270,19 +273,14 @@ def search_ranked(
         filter=pc.field("token").isin(terms),
     ).materialize()  # bounded by the query terms' posting lists
 
-    def df_partial(t: pd.DataFrame) -> pd.DataFrame:
-        c = t.groupby("token", sort=False).size()
-        return pd.DataFrame(
-            {"token": pd.array(c.index, "str"),
-             "n": pd.array(c.to_numpy(), "int64")}
-        )
-
-    census = postings.map_batches(
-        arrow_out(df_partial), batch_format="pandas"
-    ).to_pandas()  # ≤ |terms| rows per batch
-    if not len(census) or "token" not in census.columns:
+    census = fold_groups(  # ≤ |terms| rows
+        postings.select_columns(["token"]).map_batches(
+            lambda t: t.append_column("n", pa.array(np.ones(t.num_rows, np.int64))),
+            batch_format="pyarrow"),
+        ["token"], [("n", "sum")])
+    if not len(census):
         return empty
-    df_map = census.groupby("token")["n"].sum().to_dict()
+    df_map = census.set_index("token")["n"].to_dict()
     idf = {
         t: math.log((n_docs - d + 0.5) / (d + 0.5) + 1)
         for t, d in df_map.items()
@@ -527,19 +525,11 @@ def search_lm(
         filter=pc.field("token").isin(terms),
     ).materialize()  # bounded by the query terms' posting lists
 
-    def ctf_partial(t: pd.DataFrame) -> pd.DataFrame:
-        c = t.groupby("token", sort=False)["tf"].sum()
-        return pd.DataFrame(
-            {"token": pd.array(c.index, "str"),
-             "ctf": pd.array(c.to_numpy(), "int64")}
-        )
-
-    census = postings.map_batches(
-        arrow_out(ctf_partial), batch_format="pandas"
-    ).to_pandas()  # ≤ |terms| rows per batch
-    if not len(census) or "token" not in census.columns:
+    census = fold_groups(  # ≤ |terms| rows
+        postings.select_columns(["token", "tf"]), ["token"], [("tf", "sum")])
+    if not len(census):
         return empty
-    ctf_map = census.groupby("token")["ctf"].sum().to_dict()
+    ctf_map = census.set_index("token")["tf"].to_dict()
     # zero-occurrence terms have no smoothed mass (ln 0); both engines
     # drop them (the SQL joins ctf inner)
     live = [t for t in terms if ctf_map.get(t, 0) > 0]

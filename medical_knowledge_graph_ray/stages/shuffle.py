@@ -20,9 +20,12 @@ Skew note: a coarse bucket holds many keys, so one hot key cannot
 overload a bucket beyond its own row count; pre-combining partials
 upstream (the engine's standard two-phase shape) bounds even that.
 
-A census whose result comes back to the driver anyway skips the
-exchange altogether: ``fold_groups`` streams the per-block partials to
-the driver and regroups them in Arrow as they arrive.
+A census skips the exchange altogether: ``fold_groups`` is the one
+census path.  It groups each block in Arrow inside the task that
+produced it (so partials emit per-row columns, never a pandas group-by
+combiner) and merges the grouped blocks on the driver as they arrive.
+A result with a row per fact-table entity stays a Dataset through
+``bucketed_group_map``.
 """
 
 from __future__ import annotations
@@ -65,26 +68,45 @@ def add_bucket(batch: pd.DataFrame, keys: list[str], num_buckets: int) -> pd.Dat
     return batch
 
 
-def fold_groups(ds, keys: list[str], aggs: list[tuple[str, str]]) -> pd.DataFrame:
-    """Driver-side fold of a group-by census whose result the caller
-    collects: ``aggs`` is ``[(col, "sum" | "max")]`` and each output
-    column keeps its input name.  Each block of ``ds`` (normally
-    per-block partials of the same keys) is grouped with
-    ``pa.Table.group_by`` as it arrives and merged into the running
-    result, so the driver holds the result plus one block and the plan
-    has no all-to-all operator.  Arrow groups on bytes, so string keys
-    that differ only after a NUL stay apart.
-
-    The frame matches what ``ds.groupby(keys).aggregate(...).to_pandas()``
-    returns: sorted by the keys (nulls last), narrow integer key and value
-    columns widened to int64 and float ones to float64.  An empty
-    ``ds`` gives an empty frame typed from the Dataset's schema."""
-    names = [f"{c}_{f}" for c, f in aggs]
+def _group(t: pa.Table, keys: list[str], aggs: list[tuple[str, str]]) -> pa.Table:
+    """``t`` grouped by ``keys`` in Arrow, output columns keeping their
+    input names."""
     cols = [c for c, _ in aggs]
+    g = t.group_by(keys, use_threads=False).aggregate(aggs)
+    names = [f"{c}_{f}" for c, f in aggs]
+    return g.select(keys + names).rename_columns(keys + cols)
 
-    def group(t: pa.Table) -> pa.Table:
-        g = t.group_by(keys, use_threads=False).aggregate(aggs)
-        return g.select(keys + names).rename_columns(keys + cols)
+
+def group_frame(df: pd.DataFrame, keys: list[str],
+                aggs: list[tuple[str, str]]) -> pd.DataFrame:
+    """``fold_groups``' Arrow group-by over an in-memory frame, for a
+    grouping that is not itself the census: a combiner or bucket kernel
+    that does more than sum (two-limb splits of int64-overflowing
+    moments, per-class tests) and a coarser level of an already collected
+    census (rollup subtotals).  Bytewise keys, so NUL-distinct strings
+    stay apart; ``keys=[]`` gives the one-row total."""
+    cols = [c for c, _ in aggs]
+    t = pa.Table.from_pandas(df[keys + cols], preserve_index=False)
+    return _group(t, keys, aggs).to_pandas()
+
+
+def fold_groups(ds, keys: list[str], aggs: list[tuple[str, str]]) -> pd.DataFrame:
+    """The engine's one census path, for a group-by whose result the
+    caller collects: ``aggs`` is ``[(col, "sum" | "max" | "min")]`` and
+    each output column keeps its input name; ``keys=[]`` gives the global
+    totals as one row.  Each block of ``ds`` (per-row columns, or per-block
+    partials where a combiner does more than group and sum) is grouped with
+    ``pa.Table.group_by`` inside the task that produced it — a
+    ``map_batches`` step Ray fuses into the producer — and the driver
+    merges the grouped blocks as they arrive, so it holds the result plus
+    one block and the plan has no all-to-all operator.  Arrow groups on
+    bytes, so string keys that differ only after a NUL stay apart.
+
+    The frame is sorted by the keys (nulls last), with narrow integer key
+    and value columns widened to int64 and float ones to float64.  An
+    empty ``ds`` gives an empty frame typed from the Dataset's schema, or
+    with ``keys=[]`` one all-null row."""
+    cols = [c for c, _ in aggs]
 
     def widen(t: pa.Table) -> pa.Table:
         for k in keys + cols:
@@ -95,17 +117,25 @@ def fold_groups(ds, keys: list[str], aggs: list[tuple[str, str]]) -> pd.DataFram
                 t = t.set_column(i, k, t[k].cast(pa.float64()))
         return t
 
+    def combine(t: pa.Table) -> pa.Table:
+        # a sort exchange's empty partition arrives with no columns
+        return _group(widen(t), keys, aggs) if t.num_rows else t
+
     acc = None
-    for block in ds.iter_batches(batch_size=None, batch_format="pyarrow"):
-        part = group(widen(block))
-        acc = part if acc is None else group(
-            pa.concat_tables([acc, part], promote_options="permissive"))
-    if acc is None:  # no block arrived: type the empty frame from the schema
+    grouped = ds.map_batches(combine, batch_format="pyarrow", batch_size=None)
+    for block in grouped.iter_batches(batch_size=None, batch_format="pyarrow"):
+        if block.num_rows:
+            acc = block if acc is None else _group(
+                pa.concat_tables([acc, block], promote_options="permissive"),
+                keys, aggs)
+    if acc is None:  # no row arrived: type the result from the schema
         schema = getattr(ds.schema(), "base_schema", None)
         if not isinstance(schema, pa.Schema):
-            return pd.DataFrame(columns=keys + cols)
-        acc = group(widen(schema.empty_table()))
-    return acc.sort_by([(k, "ascending") for k in keys]).to_pandas()
+            return pd.DataFrame({c: [] if keys else [None] for c in keys + cols})
+        acc = _group(widen(schema.empty_table()), keys, aggs)
+    if keys:
+        acc = acc.sort_by([(k, "ascending") for k in keys])
+    return acc.to_pandas()
 
 
 def first_non_null_agg(

@@ -5,10 +5,11 @@ each reduced to MERGEABLE partials and folded into persistent state.
 This module provides that fold with exactly-once semantics layered on
 ``stages/upsert.py``:
 
-* each chunk is reduced DISTRIBUTED (per-batch combiner → one bucketed
-  exchange) to one row per aggregation key — the driver only ever sees
-  the chunk's key census (contract: the key space must be
-  aggregation-bounded, e.g. (event_type, hour window), never raw rows);
+* each chunk is reduced to one row per aggregation key by
+  ``fold_groups`` (grouped in the producing tasks, merged on the driver)
+  — the driver only ever sees the chunk's key census (contract: the key
+  space must be aggregation-bounded, e.g. (event_type, hour window),
+  never raw rows);
 * the census is ADDED to the current state (touched keys only, via the
   pruned ``lookup``) and written back through ``upsert`` — only touched
   buckets rewrite;
@@ -31,7 +32,7 @@ import os
 import numpy as np
 import pandas as pd
 
-from .shuffle import bucketed_group_map
+from .shuffle import fold_groups
 from .upsert import init_keyed_table, lookup, read_keyed_table, upsert
 
 
@@ -71,14 +72,8 @@ def microbatch_aggregate(
     if chunk_id in ledger["applied_chunks"]:
         return ledger  # exactly-once: structural no-op
 
-    def combine(g: pd.DataFrame) -> pd.DataFrame:
-        return (
-            g.groupby(key_cols, sort=False, as_index=False)[sum_cols].sum()
-        )
-
-    census = bucketed_group_map(partials, key_cols, combine).to_pandas()
+    census = fold_groups(partials, key_cols, [(c, "sum") for c in sum_cols])
     if len(census):
-        census = census.groupby(key_cols, as_index=False)[sum_cols].sum()
         packed = census[key_cols[0]].astype(str)
         for k in key_cols[1:]:
             packed = packed + key_sep + census[k].astype(str)
@@ -139,12 +134,13 @@ def arrival_chunks(
     the micro-batch fold semantics require (exact additive partials —
     arrival order and chunk boundaries are irrelevant)."""
     import glob
-    import hashlib
+    import shutil
 
     import pyarrow as pa
     import pyarrow.parquet as pq
 
     from ..functions.arrow import arrow_out, read_parquet_clean
+    from ..functions.hashing import block_digest
 
     if os.path.isdir(input_path):
         frags = sorted(glob.glob(os.path.join(input_path, "*.parquet")))
@@ -158,8 +154,13 @@ def arrival_chunks(
 
     if land_dir is None:
         raise ValueError("land_dir is required for single-file inputs")
+    # landing rescans the whole input and a part's name is a digest of
+    # its rows, so a crashed earlier landing (other batch boundaries,
+    # other part names) is cleared, never merged into this one
+    for stale in glob.glob(os.path.join(land_dir, "chunk=*")):
+        shutil.rmtree(stale)
     for i in range(n_chunks):
-        os.makedirs(os.path.join(land_dir, f"chunk={i}"), exist_ok=True)
+        os.makedirs(os.path.join(land_dir, f"chunk={i}"))
 
     def land(b: pd.DataFrame) -> pd.DataFrame:
         if key_col is not None:
@@ -171,12 +172,11 @@ def arrival_chunks(
             sub = b[cid == i]
             if not len(sub):
                 continue
-            hh = pd.util.hash_pandas_object(sub, index=False).to_numpy()
-            digest = hashlib.md5(hh.tobytes()).hexdigest()[:16]
+            tbl = pa.Table.from_pandas(
+                sub, preserve_index=False).replace_schema_metadata(None)
             out = os.path.join(land_dir, f"chunk={i}",
-                               f"part-{digest}.parquet")
-            tbl = pa.Table.from_pandas(sub, preserve_index=False)
-            pq.write_table(tbl.replace_schema_metadata(None), out)
+                               f"part-{block_digest(tbl)}.parquet")
+            pq.write_table(tbl, out)
         return pd.DataFrame({"n": pd.array([len(b)], "int64")})
 
     src = read_parquet_clean(input_path, columns=columns)

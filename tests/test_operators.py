@@ -1515,7 +1515,7 @@ def test_markov_stationary_is_fixpoint(ray_session):
     pi = events_markov_stationary(SF)
     assert abs(pi["stationary_p"].sum() - 1.0) < 1e-4
     # rebuild P and check the fixpoint residual
-    t = events_transitions(SF).to_pandas()
+    t = events_transitions(SF)  # a collected census frame
     types = list(pi["event_type"])
     idx = {s: i for i, s in enumerate(types)}
     k = len(types)

@@ -290,6 +290,29 @@ def test_arrival_chunks_scan_input_once(ray_session, tmp_path):
     assert len(landed) >= 4
 
 
+def test_arrival_chunks_landing_is_crash_idempotent(ray_session, tmp_path):
+    """A crashed landing leaves parts cut at other batch boundaries,
+    under other names; landing again clears them, so the chunks hold the
+    input row for row, with no row twice."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    from medical_knowledge_graph_ray.stages.streaming import arrival_chunks
+
+    one = tmp_path / "one.parquet"
+    src = pa.table({"k": pa.array(np.arange(100), pa.int64()),
+                    "s": pa.array([f"x\x00{i % 7}" for i in range(100)])})
+    pq.write_table(src, str(one))
+    land = tmp_path / "land"
+    (land / "chunk=0").mkdir(parents=True)
+    stale = src.filter(pa.array(np.arange(100) % 4 == 0)).slice(0, 5)
+    pq.write_table(stale, str(land / "chunk=0" / "part-0123456789abcdef.parquet"))
+    chunks = arrival_chunks(str(one), 4, columns=["k", "s"],
+                            land_dir=str(land), key_col="k")
+    union = pd.concat([c.to_pandas() for c in chunks]).sort_values("k")
+    pd.testing.assert_frame_equal(union.reset_index(drop=True), src.to_pandas())
+
+
 def test_bilateral_ivm_pending_claims_and_exactly_once(ray_session, tmp_path):
     """Bilateral streaming join: the final view equals the batch join
     aggregate, the pending state was genuinely USED (touched by
