@@ -22,6 +22,7 @@ __all__ = [
     "md5_int_vec",
     "stable_bucket_vec",
     "block_digest",
+    "row_hash",
 ]
 
 
@@ -65,6 +66,33 @@ def block_digest(table) -> str:
     with pa.ipc.new_stream(sink, t.schema) as writer:
         writer.write_table(t)
     return hashlib.md5(sink.getvalue()).hexdigest()[:16]
+
+
+def row_hash(frame):
+    """``uint64`` hash per row of a DataFrame (columns combined) or a Series:
+    the package's one row hash, equal to pandas'
+    ``hash_pandas_object(frame, index=False)`` except on strings holding a
+    NUL, which pandas factorizes as NUL-terminated C strings (so
+    ``'x\\0a'`` and ``'x\\0b'`` share a hash that depends on the frame).
+    String columns are dictionary-encoded in Arrow, bytewise, and their
+    distinct values hashed whole; nulls get pandas' ``uint64`` max."""
+    import numpy as np
+    import pandas as pd
+    import pyarrow as pa
+    from pandas.core.util.hashing import combine_hash_arrays, hash_array
+
+    def column(s: pd.Series) -> np.ndarray:
+        if pd.api.types.infer_dtype(s, skipna=True) != "string":
+            return pd.util.hash_pandas_object(s, index=False).to_numpy()
+        codes = pa.array(s, pa.large_string(), from_pandas=True).dictionary_encode()
+        values = codes.dictionary.to_numpy(zero_copy_only=False)
+        h = np.append(hash_array(values, categorize=False), np.iinfo(np.uint64).max)
+        return h.take(codes.indices.fill_null(-1).to_numpy())  # null → max
+
+    if isinstance(frame, pd.Series):
+        return column(frame)
+    return combine_hash_arrays((column(s) for _, s in frame.items()),
+                               frame.shape[1])
 
 
 def stable_bucket(s: str, n: int) -> int:

@@ -15,7 +15,7 @@ from ..stages.dedup import (
     ngram_jaccard_group,
     simhash_batch,
 )
-from ..stages.shuffle import fold_groups, group_frame
+from ..stages.shuffle import exchange, fold_groups, group_frame, with_bucket
 from ..stages.text_stats import (
     doc_stats_batch,
     fingerprint_batch,
@@ -3042,16 +3042,14 @@ def docs_global_shuffle(sf_dir: str):
     # order is preserved under signed comparison
     def with_bucket_safe(b: pd.DataFrame) -> pd.DataFrame:
         h = md5_int_vec_prefixed("shuf", b["doc_id"].to_numpy(), bits=64)
-        return pd.DataFrame(
+        bucket = (h >> np.uint64(64 - SHUFFLE_BUCKET_BITS)).astype("int32")
+        return with_bucket(pd.DataFrame(
             {"doc_id": b["doc_id"].astype("int64"),
              "h": pd.array(
                  (h - np.uint64(1 << 63)).view(np.int64), "int64"
              ),
-             "bucket": pd.array(
-                 (h >> np.uint64(64 - SHUFFLE_BUCKET_BITS)).astype("int32"),
-                 "int32",
-             )}
-        )
+             "bucket": pd.array(bucket, "int32")}
+        ), bucket)
 
     keyed = docs.map_batches(arrow_out(with_bucket_safe), batch_format="pandas")
     keyed = keyed.materialize()  # two passes over the keyed rows
@@ -3075,9 +3073,7 @@ def docs_global_shuffle(sf_dir: str):
              )}
         )
 
-    return keyed.groupby("bucket").map_groups(
-        arrow_out(rank_bucket), batch_format="pandas"
-    )
+    return exchange(keyed, rank_bucket)
 
 
 GLOBAL_SHUFFLE_SQL = """
@@ -4459,14 +4455,11 @@ def docs_heaps(sf_dir: str):
         flat = np.concatenate(toks.to_numpy()) if len(b) else np.array([], str)
         di = np.repeat(b["doc_id"].to_numpy("int64"), lens)
         df = pd.DataFrame({"tok": flat, "first_doc": di})
-        return df.groupby("tok", sort=False, as_index=False)["first_doc"].min()
+        return group_frame(df, ["tok"], [("first_doc", "min")])  # NUL-safe
 
     firsts = bucketed_group_map(
         docs.map_batches(arrow_out(first_partial), batch_format="pandas"),
-        ["tok"],
-        lambda g: g.groupby("tok", sort=False, as_index=False)["first_doc"]
-        .min(),
-    )
+        ["tok"], lambda g: group_frame(g, ["tok"], [("first_doc", "min")]))
 
     def count_partial(b: pd.DataFrame) -> pd.DataFrame:
         fd = b["first_doc"].to_numpy("int64")

@@ -2137,7 +2137,7 @@ def tables_key_discovery(sf_dir: str) -> pd.DataFrame:
 
     1. HLL screen — ONE pruned read per table; every batch emits one
        16 KiB register row PER CANDIDATE (row-tuple hashes via
-       ``hash_pandas_object``, no value strings ever built), folded to
+       ``row_hash``, no value strings ever built), folded to
        |cands| rows by a tiny groupby merge.  A candidate whose estimate
        falls below ``(1-KEY_HLL_EPS)·n_rows`` is decided NON-key
        outright — no value of a clear non-key ever crosses an exchange.
@@ -2157,6 +2157,7 @@ def tables_key_discovery(sf_dir: str) -> pd.DataFrame:
     exact distinct count by design, so no count column is emitted."""
     import pyarrow.parquet as pq
 
+    from ..functions.hashing import row_hash
     from ..stages.shuffle import bucketed_group_map
     from ..stages.sketches import hll_estimate, hll_merge, hll_regs_from_hashes
 
@@ -2175,10 +2176,8 @@ def tables_key_discovery(sf_dir: str) -> pd.DataFrame:
         def fn(b: pd.DataFrame) -> pd.DataFrame:
             ids, regs = [], []
             for cand_id, cols in tbl_cands:
-                h = pd.util.hash_pandas_object(
-                    b[cols], index=False).to_numpy()
                 ids.append(cand_id)
-                regs.append(hll_regs_from_hashes(h).tobytes())
+                regs.append(hll_regs_from_hashes(row_hash(b[cols])).tobytes())
             return pd.DataFrame({"cand": pd.array(ids, "int64"),
                                  "regs": regs})
         return fn
@@ -5021,6 +5020,7 @@ def _zonemap_shards(sf_dir: str) -> str:
     import pyarrow as pa
     import pyarrow.parquet as pq
 
+    from ..functions.hashing import row_hash
     from ..stages.zonemap import ZONEMAP_VERSION, build_zonemap
 
     tag = os.path.basename(os.path.normpath(sf_dir))
@@ -5041,8 +5041,7 @@ def _zonemap_shards(sf_dir: str) -> str:
                 sub.reset_index(drop=True), preserve_index=False
             ).replace_schema_metadata(None)
             h = hashlib.md5(
-                (m + "|" + str(pd.util.hash_pandas_object(
-                    sub["l_orderkey"], index=False).sum())).encode()
+                (m + "|" + str(row_hash(sub["l_orderkey"]).sum())).encode()
             ).hexdigest()[:12]
             path = f"{root}/shards/m={m}-{h}.parquet"
             if not os.path.exists(path):
@@ -5831,6 +5830,7 @@ def _zorder_shards(sf_dir: str) -> tuple[str, int]:
     import pyarrow.parquet as pq
     import pyarrow as pa
 
+    from ..functions.hashing import row_hash
     from ..stages.zonemap import ZONEMAP_VERSION, build_zonemap
     from ..stages.zorder import morton2
 
@@ -5867,8 +5867,7 @@ def _zorder_shards(sf_dir: str) -> tuple[str, int]:
                 sub.reset_index(drop=True), preserve_index=False
             ).replace_schema_metadata(None)
             h = hashlib.md5(
-                (f"{bk}|" + str(pd.util.hash_pandas_object(
-                    sub["z"], index=False).sum())).encode()
+                (f"{bk}|" + str(row_hash(sub["z"]).sum())).encode()
             ).hexdigest()[:12]
             path = f"{root}/shards/z={bk:05d}-{h}.parquet"
             if not os.path.exists(path):

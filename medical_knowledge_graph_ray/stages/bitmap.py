@@ -12,8 +12,8 @@ the bitsets — the packed-uint8 form here keeps the same asymptotics at
 
 Layout contract (what makes bit positions well-defined and rebuildable):
 rows hash-exchange on ``key_cols`` into ``num_buckets`` coarse buckets
-(`stages/shuffle.py` bucket hash — content-stable across processes and
-parallelism), and WITHIN a bucket rows sort by ``key_cols`` (a total
+(`functions/hashing.py:row_hash` through `stages/shuffle.py:exchange` —
+content-stable across processes and parallelism), and WITHIN a bucket rows sort by ``key_cols`` (a total
 order).  Bit i of a bucket's bitset is therefore the same logical row on
 every build of the same data, independent of file layout or block
 boundaries.
@@ -37,7 +37,8 @@ import numpy as np
 import pandas as pd
 
 from ..functions.arrow import arrow_out, read_parquet_clean
-from .shuffle import BUCKET_COL, add_bucket, default_num_buckets
+from ..functions.hashing import row_hash
+from .shuffle import default_num_buckets, exchange, with_bucket
 
 BITMAP_VERSION = "v1"
 
@@ -63,13 +64,15 @@ def build_bitmap_index(
     os.makedirs(parts, exist_ok=True)
 
     def _assign(b: pd.DataFrame) -> pd.DataFrame:
-        return add_bucket(b, key_cols, num_buckets)
+        # the bucket also travels as a data column: it names the file
+        bid = (row_hash(b[key_cols]) % np.uint64(num_buckets)).astype("int32")
+        return with_bucket(b.assign(_bid=bid), bid)
 
     def _build_bucket(g: pd.DataFrame) -> pd.DataFrame:
         import pyarrow as pa
         import pyarrow.parquet as pq
 
-        bid = int(g[BUCKET_COL].iloc[0])
+        bid = int(g["_bid"].iloc[0])
         s = g.sort_values(key_cols, kind="mergesort").reset_index(drop=True)
         n = len(s)
         cols, vals, blobs = [], [], []
@@ -98,9 +101,8 @@ def build_bitmap_index(
         )
 
     meta = (
-        ds.map_batches(arrow_out(_assign), batch_format="pandas")
-        .groupby(BUCKET_COL)
-        .map_groups(arrow_out(_build_bucket), batch_format="pandas")
+        exchange(ds.map_batches(arrow_out(_assign), batch_format="pandas"),
+                 _build_bucket)
         .to_pandas()  # ≤ num_buckets rows — bounded by construction
         .sort_values("bucket")
         .reset_index(drop=True)

@@ -38,6 +38,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..functions.hashing import md5_int_vec, stable_id
+from .shuffle import exchange, with_bucket
 
 _BRACKET_RE = re.compile(r"[\(\[（【].*?[\)\]）】]")
 
@@ -302,33 +303,24 @@ def finalize_graph_write(
     )
 
     def _assign(t: pa.Table) -> pa.Table:
-        return t.append_column(
-            "_bucket", pa.array(bucket_of(t.column("a").to_numpy(), num_buckets))
-        )
+        return with_bucket(t, bucket_of(t.column("a").to_numpy(), num_buckets))
 
     def _write_bucket(g: pa.Table) -> pa.Table:
         out = []
-        if g.num_rows:
-            bucket = g.column("_bucket")[0].as_py()
-            for name, table in zip(("nodes", "edges"), _combine_bucket(g)):
-                if table.num_rows:
-                    pq.write_table(
-                        table,
-                        os.path.join(tmp[name], f"part-{bucket:04d}.parquet"),
-                    )
-                    out.append((name, bucket, table.num_rows))
+        bucket = int(bucket_of(g.column("a")[:1].to_numpy(), num_buckets)[0])
+        for name, table in zip(("nodes", "edges"), _combine_bucket(g)):
+            if table.num_rows:
+                pq.write_table(
+                    table, os.path.join(tmp[name], f"part-{bucket:04d}.parquet"))
+                out.append((name, bucket, table.num_rows))
         return pa.table(
             {"table": pa.array([t for t, _, _ in out], pa.string()),
              "bucket": pa.array([b_ for _, b_, _ in out], pa.int32()),
              "rows": pa.array([r for _, _, r in out], pa.int64())}
         )
 
-    (
-        parts.map_batches(_assign, batch_format="pyarrow")
-        .groupby("_bucket")
-        .map_groups(_write_bucket, batch_format="pyarrow")
-        .count()
-    )
+    exchange(parts.map_batches(_assign, batch_format="pyarrow"), _write_bucket,
+             batch_format="pyarrow").count()
 
     results = {}
     for stage_name, final_dir in (("nodes", nodes_dir), ("edges", edges_dir)):

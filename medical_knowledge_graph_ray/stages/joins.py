@@ -7,11 +7,16 @@ The engine's join ladder, in preference order:
    ``pipelines/relational.py``.  No shuffle.
 2. **Semi/anti join by broadcast key set** (J6): ``isin`` masks inside
    ``map_batches``.
-3. **Partitioned hash join** (J2, this module): both sides large — add a
-   deterministic coarse bucket from the key columns to each side, tag the
-   side, union, group by bucket, and merge the two sides pairwise inside
-   each bucket with a vectorized pandas merge.  All rows of a key land in
-   exactly one bucket on both sides, so the per-bucket merge is exact.
+3. **Partitioned hash join** (J2, this module): both sides large — each
+   side's ``map_batches`` tags its rows with the side and a coarse bucket
+   (``functions/hashing.py:row_hash`` of the key columns modulo the
+   bucket count), and ``stages/shuffle.py:exchange`` pools both sides
+   and hands each bucket to a vectorized pandas merge.  All rows of a
+   key land in exactly one bucket on both sides — strings holding a NUL
+   included — so the per-bucket merge is exact.
+4. **Sort-merge join** (``merge_join``): the same exchange with range
+   buckets on a single int64 key, merged by ``searchsorted`` inside each
+   bucket.
 
 Skew note: one hot key cannot overload a bucket beyond its own row count;
 for extreme key skew, pre-aggregate the probe side per (key, batch) first
@@ -35,7 +40,8 @@ import pandas as pd
 import pyarrow as pa
 
 from ..functions.arrow import arrow_out
-from .shuffle import BUCKET_COL, add_bucket, fold_groups
+from ..functions.hashing import row_hash
+from .shuffle import exchange, fold_groups, with_bucket
 
 _SIDE_COL = "_join_side"
 # skew="auto" prefix-sample size: big enough that a ≥5%-mass hot key is
@@ -172,58 +178,40 @@ def hash_join(
                 for c, d in l_pd.items()
             }
 
-    def _tag(side: int):
-        def fn(b: pd.DataFrame) -> pd.DataFrame:
-            b = add_bucket(b, on, num_buckets)
-            b[_SIDE_COL] = side
-            return b
-
-        fn.__name__ = f"tag_side_{side}"
-        return fn
+    shards = salt if hot_keys is not None and salt > 1 else 1
 
     def _hot_mask(b: pd.DataFrame):
         if len(on) == 1:
             return b[on[0]].isin(hot_keys).to_numpy()
         return np.asarray(pd.MultiIndex.from_frame(b[on]).isin(hot_keys))
 
-    def _tag_salted(side: int):
+    def _tag(side: int):
         def fn(b: pd.DataFrame) -> pd.DataFrame:
-            base = (
-                pd.util.hash_pandas_object(b[on], index=False).to_numpy()
-                % num_buckets
-            ).astype("int64")
-            hot = _hot_mask(b)
-            if side == 0:
-                # salt assignment is batch-positional: which shard a hot
-                # left row lands in is arbitrary (any shard sees the full
-                # replicated right side), so the OUTPUT row set is
-                # invariant to batching even though routing isn't
-                salt_id = np.where(hot, np.arange(len(b)) % salt, 0)
-                out = b.copy()
-                out[BUCKET_COL] = (base * salt + salt_id).astype("int32")
-                out[_SIDE_COL] = 0
-                return out
-            cold = b[~hot].copy()
-            cold[BUCKET_COL] = (base[~hot] * salt).astype("int32")
-            cold[_SIDE_COL] = 1
-            frames = [cold]
-            hot_rows = b[hot]
-            if len(hot_rows):
-                base_hot = base[hot]
-                for s in range(salt):
-                    rep = hot_rows.copy()
-                    rep[BUCKET_COL] = (base_hot * salt + s).astype("int32")
-                    rep[_SIDE_COL] = 1
-                    frames.append(rep)
-            return pd.concat(frames, ignore_index=True)
+            # a key's bucket is ``hash % num_buckets``, split ``shards`` ways
+            # into salt shards when salted (1 otherwise)
+            base = (row_hash(b[on]) % np.uint64(num_buckets)).astype("int64") * shards
+            hot = _hot_mask(b) if shards > 1 else np.zeros(len(b), bool)
+            if side == 1 and hot.any():
+                # hot right rows replicate to every salt shard
+                rep = np.where(hot, shards, 1)
+                idx = np.repeat(np.arange(len(b)), rep)
+                shard = np.arange(len(idx)) - np.repeat(np.cumsum(rep) - rep, rep)
+                b, bucket = b.iloc[idx].reset_index(drop=True), base[idx] + shard
+            else:
+                # hot left rows spread over the shards by batch position:
+                # any shard sees the full replicated right side, so the
+                # OUTPUT row set is invariant to batching even though
+                # routing isn't
+                bucket = base + np.where(hot, np.arange(len(b)) % shards, 0)
+            out = with_bucket(b, bucket)
+            out[_SIDE_COL] = side
+            return out
 
-        fn.__name__ = f"tag_salted_side_{side}"
+        fn.__name__ = f"tag_side_{side}"
         return fn
 
-    tag = _tag_salted if (hot_keys is not None and salt > 1) else _tag
-    l_tagged = left.map_batches(arrow_out(tag(0)), batch_format="pandas")
-    r_tagged = right.map_batches(arrow_out(tag(1)), batch_format="pandas")
-    both = l_tagged.union(r_tagged)
+    sides = [left.map_batches(arrow_out(_tag(0)), batch_format="pandas"),
+             right.map_batches(arrow_out(_tag(1)), batch_format="pandas")]
 
     def _merge(bucket: pd.DataFrame) -> pd.DataFrame:
         lmask = bucket[_SIDE_COL] == 0
@@ -246,9 +234,7 @@ def hash_join(
             out = l.merge(r, on=on, how=how, suffixes=suffixes)
         return bucket_post(out) if bucket_post is not None else out
 
-    return both.groupby(BUCKET_COL).map_groups(
-        arrow_out(_merge), batch_format="pandas"
-    )
+    return exchange(sides, _merge)
 
 
 def detect_hot_keys(ds, on: list[str], *, min_frac: float = 0.05,
@@ -396,9 +382,7 @@ def merge_join(
 
     def _tag(side: int):
         def fn(b: pd.DataFrame) -> pd.DataFrame:
-            b = b.copy()
-            k = b[on].to_numpy("int64")
-            b[BUCKET_COL] = range_bucket(k, lo_k, hi_k, nb)
+            b = with_bucket(b, range_bucket(b[on].to_numpy("int64"), lo_k, hi_k, nb))
             b[_SIDE_COL] = np.int8(side)
             return b
         return fn
@@ -408,9 +392,8 @@ def merge_join(
     l_names, l_pd = _pd_dtypes(left_schema)
     r_names, r_pd = _pd_dtypes(right_schema)
 
-    tagged = left.map_batches(
-        arrow_out(_tag(0)), batch_format="pandas").union(
-        right.map_batches(arrow_out(_tag(1)), batch_format="pandas"))
+    sides = [left.map_batches(arrow_out(_tag(0)), batch_format="pandas"),
+             right.map_batches(arrow_out(_tag(1)), batch_format="pandas")]
 
     def _merge(bucket: pd.DataFrame) -> pd.DataFrame:
         lhs = _restore(bucket[bucket[_SIDE_COL] == 0], l_names, l_pd)
@@ -435,5 +418,4 @@ def merge_join(
             out = bucket_post(out)
         return out
 
-    return tagged.groupby(BUCKET_COL).map_groups(
-        arrow_out(_merge), batch_format="pandas")
+    return exchange(sides, _merge)

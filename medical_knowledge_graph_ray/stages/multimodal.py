@@ -1,9 +1,11 @@
 """Multimodal columns: opaque binary payloads + REAL decode kernels for
-self-describing formats, actor-pool feature extraction.
+self-describing formats, task-pool feature extraction.
 
 Design (driver brief): image/audio/video travel as opaque ``binary``
 columns with typed metadata; decode / feature-extract / resize /
-frame-sample are actor-pool ``map_batches`` stages.
+frame-sample are ``map_batches`` tasks with a per-process extractor
+(``stages/ner.py:memo_stage``): an actor pool would reserve its CPUs up
+front and stall the tasks around it on a small cluster.
 
 The container has no external codec libraries (no Pillow/ffmpeg), so the
 engine implements the formats that are pure byte layouts — and REALLY
@@ -26,7 +28,7 @@ contract.
 
 Memory note: binary payloads make WIDE rows — callers should size
 ``batch_size`` small (32-128) and/or raise ``target_max_block_size`` so a
-batch × pool concurrency fits worker heaps (SURVEY "memory-aware").
+batch × task concurrency fits worker heaps (SURVEY "memory-aware").
 """
 
 from __future__ import annotations
@@ -50,20 +52,6 @@ MEDIA_SCHEMA = pa.schema(
 )
 
 N_FEATURES = 16
-
-FEATURE_SCHEMA = pa.schema(
-    [
-        ("media_id", pa.string()),
-        ("kind", pa.string()),
-        ("mime", pa.string()),
-        ("width", pa.int32()),
-        ("height", pa.int32()),
-        ("duration_ms", pa.int32()),
-        ("status", pa.string()),         # decoded | unsupported | error:<ExcName>
-        ("features", pa.list_(pa.float32())),
-        ("phash", pa.uint64()),          # images/videos; 0 otherwise
-    ]
-)
 
 
 # -- codecs (pure byte layouts, numpy only) -----------------------------------
@@ -249,12 +237,12 @@ def synth_media_batch(batch: dict) -> pa.Table:
 
 
 class MediaFeatureExtractor:
-    """Actor-pool stage: binary payload → fixed-width feature vector +
+    """Feature stage: binary payload → fixed-width feature vector +
     perceptual hash + explicit status (decoded/unsupported/error — no
     silent drops, matching the engine's dead-letter policy).
 
     ``__init__`` is where a real deployment loads foreign codecs/models
-    ONCE per actor; the self-describing formats decode with numpy right
+    ONCE per process; the self-describing formats decode with numpy right
     here.  ``frame_stride`` is the video frame-sampling knob."""
 
     def __init__(self, feature_dim: int = N_FEATURES, frame_stride: int = 2,
@@ -299,24 +287,27 @@ class MediaFeatureExtractor:
         return out
 
 
-def media_features(n_media: int = 256, *, batch_size: int = 64, concurrency=2):
+def media_features_batch(batch: pa.Table) -> pa.Table:
+    """The default ``MediaFeatureExtractor`` as a ``map_batches`` task
+    function, built once per worker process."""
+    from .ner import memo_stage
+
+    return memo_stage("media_features", MediaFeatureExtractor)(batch)
+
+
+def media_features(n_media: int = 256, *, batch_size: int = 64):
     """Synthetic media table → feature table (the full plumbing path)."""
     import ray.data as rd
 
     media = rd.range(n_media).map_batches(synth_media_batch, batch_format="pyarrow")
     return media.map_batches(
-        MediaFeatureExtractor,
+        media_features_batch,
         batch_format="pyarrow",
         batch_size=batch_size,     # small: payload rows are wide
-        concurrency=concurrency,
-        num_cpus=1,
     )
 
 
 # -- perceptual-hash near-dup (image/video dedup over the phash column) -------
-
-PHASH_BANDS = 4  # kept for API compat; banding lives in stages/dedup.py
-
 
 def phash_neardup_pairs(features, max_hamming: int = 3):
     """Media near-dup pairs by dHash Hamming distance — the shared

@@ -40,13 +40,14 @@ Exactness contracts:
   and +0.0 separately where SQL value-equality would merge them —
   acceptable for parquet analytics, noted.
 
-Sentinels are \x01-prefixed, NEVER \x00-prefixed: pandas'
-``hash_pandas_object`` NUL-TRUNCATES object strings when hashing the
-factorized category values, so a \x00 string in a BUCKET-KEY column
-collides with "" and makes every value's hash depend on the batch's
-category composition — the same key then routes to different buckets on
-different batches (measured: one duplicated float double-counted in
-n_distinct; pinned by ``test_bucket_keys_must_not_contain_nul_strings``).
+Sentinels are \x01-prefixed, NEVER \x00-prefixed.  Bucket routing is
+NUL-safe (``functions/hashing.py:row_hash`` hashes a NUL-holding string
+whole, so every key lands in one bucket), but pandas 2.2.2 object-dtype
+``groupby`` and ``nunique`` inside the bucket kernels still read strings
+up to the first NUL: ``'\x00STATS'`` groups with ``''`` there (one
+``nunique`` where there are two values).  A \x01 sentinel is
+collision-free on every path (pinned by
+``test_bucket_keys_must_not_contain_nul_strings``).
 """
 
 from __future__ import annotations

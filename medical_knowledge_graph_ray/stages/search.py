@@ -28,7 +28,7 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
-from .shuffle import fold_groups
+from .shuffle import exchange, fold_groups, with_bucket
 
 N_SEARCH_BUCKETS = 32
 N_SERVE_BUCKETS = 8  # doc-side buckets of the serve exchanges
@@ -44,9 +44,10 @@ def _fingerprint() -> str:
 
 
 def _explode_tokens(b: pd.DataFrame) -> pd.DataFrame:
-    """documents batch → one (token, doc_id, tf, dl, pos, bucket) row per
-    distinct (token, doc) pair; ``pos`` is the sorted in-doc position
-    list (the positional-index payload phrase queries intersect).
+    """documents batch → one (token, doc_id, tf, dl, pos) row per distinct
+    (token, doc) pair, exchange-bucketed on the md5 token bucket; ``pos``
+    is the sorted in-doc position list (the positional-index payload
+    phrase queries intersect).
 
     Vectorized split + repeat; the per-batch (token, doc) groupby is the
     map-side combiner.  ``dl`` (the doc's token count) is exact here —
@@ -55,12 +56,11 @@ def _explode_tokens(b: pd.DataFrame) -> pd.DataFrame:
     from ..functions.hashing import stable_bucket_vec
 
     if not len(b):
-        return pd.DataFrame(
+        return with_bucket(pd.DataFrame(
             {"token": pd.array([], "str"), "doc_id": pd.array([], "int64"),
              "tf": pd.array([], "int64"), "dl": pd.array([], "int64"),
-             "pos": pd.Series([], dtype=object),
-             "bucket": pd.array([], "int32")}
-        )
+             "pos": pd.Series([], dtype=object)}
+        ), [])
     toks = b["text"].astype(str).str.split(" ")
     counts = toks.str.len().to_numpy()
     flat = np.concatenate(toks.to_numpy())
@@ -78,16 +78,13 @@ def _explode_tokens(b: pd.DataFrame) -> pd.DataFrame:
     )
     df = df[df["token"] != ""]
     pos_list = [np.sort(np.asarray(p, dtype=np.int32)) for p in df["pos"]]
-    return pd.DataFrame(
+    return with_bucket(pd.DataFrame(
         {"token": pd.array(df["token"].to_numpy(), "str"),
          "doc_id": pd.array(df["doc_id"].to_numpy(), "int64"),
          "tf": pd.array([len(p) for p in pos_list], "int64"),
          "dl": pd.array(df["dl"].to_numpy().astype("int64"), "int64"),
-         "pos": pd.Series(pos_list, dtype=object),
-         "bucket": pd.array(
-             stable_bucket_vec(df["token"].to_numpy(), N_SEARCH_BUCKETS), "int32"
-         )}
-    )
+         "pos": pd.Series(pos_list, dtype=object)}
+    ), stable_bucket_vec(df["token"].to_numpy(), N_SEARCH_BUCKETS))
 
 
 def build_inverted_index(docs, out_dir: str, *, resume: bool = True) -> dict:
@@ -95,6 +92,7 @@ def build_inverted_index(docs, out_dir: str, *, resume: bool = True) -> dict:
     md5 token bucket + an auditable manifest.  Rebuilds are manifest-keyed
     no-ops (``resume=True``)."""
     from ..functions.arrow import arrow_out, read_parquet_clean
+    from ..functions.hashing import stable_bucket_vec
 
     manifest_path = os.path.join(out_dir, "_MANIFEST.json")
     if resume and os.path.exists(manifest_path):
@@ -109,12 +107,7 @@ def build_inverted_index(docs, out_dir: str, *, resume: bool = True) -> dict:
         import pyarrow as pa
         import pyarrow.parquet as pq
 
-        if not len(g):
-            return pd.DataFrame(
-                {"bucket": pd.array([], "int32"), "rows": pd.array([], "int64"),
-                 "tf_sum": pd.array([], "int64")}
-            )
-        bucket = int(g["bucket"].iloc[0])
+        bucket = int(stable_bucket_vec(g["token"].to_numpy()[:1], N_SEARCH_BUCKETS)[0])
         part = g.sort_values(["token", "doc_id"], kind="mergesort")[
             ["token", "doc_id", "tf", "dl", "pos"]
         ]
@@ -130,11 +123,7 @@ def build_inverted_index(docs, out_dir: str, *, resume: bool = True) -> dict:
         )
 
     postings = docs.map_batches(arrow_out(_explode_tokens), batch_format="pandas")
-    written = (
-        postings.groupby("bucket")
-        .map_groups(arrow_out(write_bucket), batch_format="pandas")
-        .to_pandas()  # ≤ N_SEARCH_BUCKETS rows
-    )
+    written = exchange(postings, write_bucket).to_pandas()  # ≤ N_SEARCH_BUCKETS rows
     m = {
         "fingerprint": _fingerprint(),
         "rows": int(written["rows"].sum()),

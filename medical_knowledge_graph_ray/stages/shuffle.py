@@ -6,12 +6,13 @@ high-cardinality keys (an 80 k-bucket LSH stage spends seconds on pure
 per-group overhead).  The scalable idiom (see the Ray guide's partitioned
 hash-join pattern) is:
 
-1. add a **coarse bucket** column = deterministic row-hash of the key
-   columns modulo ``num_buckets`` (vectorized, pandas ``hash_pandas_object``
-   with its fixed default hash key — stable across processes);
-2. ``groupby(bucket).map_groups`` over the *small, fixed* number of coarse
-   buckets — every row of a key lands in exactly one bucket, so per-key
-   logic stays correct;
+1. each producer sets a **coarse bucket** column (``with_bucket``) in
+   the ``map_batches`` it already runs: ``row_hash(keys) % num_buckets``
+   (``functions/hashing.py`` — stable across processes, NUL-holding
+   strings hashed whole), or a range of the key's top bits;
+2. ``exchange``, the package's only ``groupby(bucket).map_groups``,
+   groups on that column over a *small, fixed* number of buckets and
+   hands each non-empty bucket, column dropped, to the kernel;
 3. inside the bucket, do the per-key work **vectorized** (pandas groupby
    aggregates, sort + drop_duplicates, boundary masks), never a Python
    loop per key.
@@ -32,10 +33,12 @@ from __future__ import annotations
 
 from collections.abc import Callable
 
+import numpy as np
 import pandas as pd
 import pyarrow as pa
 
 from ..functions.arrow import arrow_out
+from ..functions.hashing import row_hash
 
 BUCKET_COL = "_bucket"
 
@@ -60,12 +63,33 @@ def default_num_buckets(*, per_cpu: int = 2, lo: int = 16, hi: int = 2048) -> in
     return max(lo, min(hi, per_cpu * cpus))
 
 
-def add_bucket(batch: pd.DataFrame, keys: list[str], num_buckets: int) -> pd.DataFrame:
-    """Vectorized deterministic bucket assignment from the key columns."""
-    h = pd.util.hash_pandas_object(batch[keys], index=False)
-    batch = batch.copy()
-    batch[BUCKET_COL] = (h % num_buckets).astype("int32")
-    return batch
+def with_bucket(batch, bucket):
+    """``batch`` (a pandas frame or an Arrow table) with its exchange
+    bucket column set to ``bucket``, for ``exchange``."""
+    bucket = np.asarray(bucket).astype("int32")
+    if isinstance(batch, pa.Table):
+        return batch.append_column(BUCKET_COL, pa.array(bucket))
+    return batch.assign(**{BUCKET_COL: bucket})
+
+
+def exchange(ds, kernel, *, batch_format: str = "pandas"):
+    """The engine's one keyed exchange.  ``ds`` — a Dataset, or a list of
+    Datasets whose rows are pooled (a join's two sides) — carries the
+    bucket column its producers set with ``with_bucket``; ``kernel`` runs
+    once per non-empty bucket, column dropped, on a pandas frame (its
+    output converted to Arrow) or, with ``batch_format="pyarrow"``, on an
+    Arrow table."""
+    if isinstance(ds, list):
+        ds = ds[0].union(*ds[1:])
+
+    def run(g):
+        if batch_format == "pyarrow":
+            return kernel(g.drop_columns([BUCKET_COL]))
+        del g[BUCKET_COL]  # in place: a copying drop costs ~5 ms per 200k rows
+        return kernel(g)
+
+    run.__name__ = getattr(kernel, "__name__", "kernel")
+    return ds.groupby(BUCKET_COL).map_groups(arrow_out(run), batch_format=batch_format)
 
 
 def _group(t: pa.Table, keys: list[str], aggs: list[tuple[str, str]]) -> pa.Table:
@@ -217,15 +241,10 @@ def bucketed_group_map(
     num_buckets = num_buckets or default_num_buckets()
 
     def _assign(b: pd.DataFrame) -> pd.DataFrame:
-        return add_bucket(b, keys, num_buckets)
+        return with_bucket(b, row_hash(b[keys]) % np.uint64(num_buckets))
 
-    def _run(group: pd.DataFrame) -> pd.DataFrame:
-        return bucket_fn(group.drop(columns=[BUCKET_COL]))
-
-    bucketed = ds.map_batches(arrow_out(_assign), batch_format="pandas")
-    return bucketed.groupby(BUCKET_COL).map_groups(
-        arrow_out(_run), batch_format="pandas"
-    )
+    return exchange(ds.map_batches(arrow_out(_assign), batch_format="pandas"),
+                    bucket_fn)
 
 
 def grouped_topn(

@@ -7,10 +7,10 @@ fixed-size register array that merges with an elementwise max — the
 canonical sketch shape for Ray Data:
 
 * per batch: deterministic vectorized 64-bit hashes
-  (``pd.util.hash_pandas_object`` with its fixed default key — stable
-  across processes, the same primitive the engine's bucketed shuffle
-  relies on; never Python's salted ``hash``), register update via
-  ``np.maximum.at``;
+  (``functions/hashing.py:row_hash`` — stable across processes, the same
+  primitive the engine's bucketed exchange relies on, and a function of
+  the value even for strings holding a NUL; never Python's salted
+  ``hash``), register update via ``np.maximum.at``;
 * per dataset: registers travel as ONE small row per batch; the reduce
   is an elementwise max — associative and commutative, so the estimate
   is IDENTICAL at any parallelism / batch split (tested);
@@ -25,6 +25,8 @@ from __future__ import annotations
 
 import numpy as np
 import pandas as pd
+
+from ..functions.hashing import row_hash
 
 P = 14                      # 2^14 = 16384 registers
 M = 1 << P
@@ -45,8 +47,8 @@ def _clz64(v: np.ndarray) -> np.ndarray:
 
 def hll_regs_from_hashes(h: np.ndarray) -> np.ndarray:
     """Register array from precomputed uint64 hashes (the reusable core:
-    multi-column candidates hash a row tuple once via
-    ``pd.util.hash_pandas_object(frame)`` and feed the array here)."""
+    multi-column candidates hash a row tuple once via ``row_hash(frame)``
+    and feed the array here)."""
     regs = np.zeros(M, dtype=np.uint8)
     if len(h):
         idx = (h >> np.uint64(64 - P)).astype(np.int64)
@@ -58,11 +60,7 @@ def hll_regs_from_hashes(h: np.ndarray) -> np.ndarray:
 
 def hll_partial_batch(batch: pd.DataFrame, col: str) -> pd.DataFrame:
     """One sketch row per batch: registers as a 16 KiB bytes payload."""
-    if len(batch):
-        h = pd.util.hash_pandas_object(batch[col], index=False).to_numpy()
-    else:
-        h = np.zeros(0, dtype=np.uint64)
-    return pd.DataFrame({"regs": [hll_regs_from_hashes(h).tobytes()]})
+    return pd.DataFrame({"regs": [hll_regs_from_hashes(row_hash(batch[col])).tobytes()]})
 
 
 def hll_merge(frames: pd.DataFrame) -> np.ndarray:
@@ -204,7 +202,7 @@ KMV_K = 1024  # retained minimum hashes; rel. error ≈ 1/√(k−2) ≈ 3.1 %
 
 def _kmv_hash(values) -> "np.ndarray":
     """Content-stable 64-bit hashes (md5 — platform/session independent,
-    unlike pd.util.hash_pandas_object's salted-object fallback paths),
+    unlike pandas' object-hashing fallback paths),
     sorted distinct."""
     from ..functions.hashing import md5_int_vec
 

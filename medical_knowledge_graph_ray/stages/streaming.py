@@ -140,7 +140,7 @@ def arrival_chunks(
     import pyarrow.parquet as pq
 
     from ..functions.arrow import arrow_out, read_parquet_clean
-    from ..functions.hashing import block_digest
+    from ..functions.hashing import block_digest, row_hash
 
     if os.path.isdir(input_path):
         frags = sorted(glob.glob(os.path.join(input_path, "*.parquet")))
@@ -166,8 +166,7 @@ def arrival_chunks(
         if key_col is not None:
             cid = (b[key_col].to_numpy("int64") % n_chunks).astype("int64")
         else:
-            h = pd.util.hash_pandas_object(b, index=False).to_numpy()
-            cid = (h % np.uint64(n_chunks)).astype("int64")
+            cid = (row_hash(b) % np.uint64(n_chunks)).astype("int64")
         for i in range(n_chunks):
             sub = b[cid == i]
             if not len(sub):

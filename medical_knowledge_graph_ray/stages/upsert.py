@@ -98,6 +98,8 @@ def upsert(
     import pyarrow.parquet as pq
     import ray
 
+    from ..functions.hashing import row_hash
+
     with open(_manifest_path(table_dir)) as fh:
         m = json.load(fh)
     key = m["key"]
@@ -108,7 +110,7 @@ def upsert(
     schema_sig = json.dumps([[c, str(batch.dtypes[c])] for c in batch.columns])
     fp = hashlib.md5(
         schema_sig.encode()
-        + pd.util.hash_pandas_object(batch, index=False).to_numpy().tobytes()
+        + row_hash(batch).tobytes()
         + json.dumps(sorted(map(str, delete_keys))).encode()
     ).hexdigest()
     if fp in m["applied"]:

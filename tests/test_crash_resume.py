@@ -150,6 +150,38 @@ def test_shard_manifest_crash_resume_skips_done_shards(ray_session, tmp_path):
         assert json.load(f)["stage"] == "triples/shard_0000"
 
 
+def _run_child(tmp_path, script: str, args: list[str], tag: str,
+               timeout: int = 120) -> tuple[int | None, str]:
+    """Run ``script`` in a fresh Python process that owns its own Ray
+    cluster (``args[0]`` is its Ray temp dir), under a hard timeout; kill
+    the whole process group and any leftover worker after.  Returns the
+    exit code (None on a timeout) and the end of the child's log."""
+    child_py = str(tmp_path / f"{tag}.py")
+    with open(child_py, "w") as f:
+        f.write(script)
+    env = dict(os.environ)
+    env.pop("RAY_ADDRESS", None)
+    env["PYTHONPATH"] = os.getcwd()
+    log_path = str(tmp_path / f"{tag}.log")
+    with open(log_path, "wb") as log:
+        p = subprocess.Popen(
+            [sys.executable, child_py, *args],
+            cwd=os.getcwd(), env=env, stdout=log, stderr=log,
+            start_new_session=True,
+        )
+        try:
+            rc = p.wait(timeout=timeout)
+        except subprocess.TimeoutExpired:
+            rc = None
+        finally:
+            if p.poll() is None:
+                os.killpg(p.pid, signal.SIGKILL)
+                p.wait(timeout=60)
+            time.sleep(1.5)
+            _kill_leftovers(args[0])
+    return rc, open(log_path, errors="replace").read()[-2000:]
+
+
 def test_run_kg_completes_on_one_cpu(ray_session, tmp_path):
     """ROADMAP 4a: ``run_kg`` on a real ``num_cpus=1`` cluster finishes and
     matches a run on this session's cluster.  A stage that reserves the
@@ -161,32 +193,11 @@ def test_run_kg_completes_on_one_cpu(ray_session, tmp_path):
     corpus = str(tmp_path / "pages")
     out_one = str(tmp_path / "out_one")
     generate_pages(60, corpus)
-    child_py = str(tmp_path / "child.py")
-    with open(child_py, "w") as f:
-        f.write(_CHILD)
-    ray_tmp = f"/tmp/mkg_onecpu_ray_{os.getpid()}"
-    env = dict(os.environ)
-    env.pop("RAY_ADDRESS", None)
-    env["PYTHONPATH"] = os.getcwd()
-    log_path = str(tmp_path / "child.log")
-    with open(log_path, "wb") as log:
-        p = subprocess.Popen(
-            [sys.executable, child_py, out_one, ray_tmp, corpus, "1"],
-            cwd=os.getcwd(), env=env, stdout=log, stderr=log,
-            start_new_session=True,
-        )
-        try:
-            rc = p.wait(timeout=120)
-        except subprocess.TimeoutExpired:
-            rc = None
-        finally:
-            if p.poll() is None:
-                os.killpg(p.pid, signal.SIGKILL)
-                p.wait(timeout=60)
-            time.sleep(1.5)
-            _kill_leftovers(ray_tmp)
+    rc, log = _run_child(tmp_path, _CHILD,
+                         [out_one, f"/tmp/mkg_onecpu_ray_{os.getpid()}", corpus, "1"],
+                         "child")
     assert rc is not None, "run_kg hung on a 1-CPU cluster (120 s timeout)"
-    assert rc == 0, open(log_path, errors="replace").read()[-2000:]
+    assert rc == 0, log
 
     out_ref = str(tmp_path / "out_ref")
     run_kg(corpus, out_ref, n_shards=8)
@@ -196,3 +207,32 @@ def test_run_kg_completes_on_one_cpu(ray_session, tmp_path):
     ):
         assert _table_hash(out_one, sub, cols) == \
             _table_hash(out_ref, sub, cols), sub
+
+
+_MEDIA_CHILD = """
+import sys, ray
+ray.init(address="local", num_cpus=2, include_dashboard=False,
+         logging_level="ERROR", _temp_dir=sys.argv[1])
+from ray.data import DataContext
+DataContext.get_current().enable_progress_bars = False
+from medical_knowledge_graph_ray.stages.multimodal import media_neardup
+pairs = media_neardup(96).to_pandas()
+pairs.sort_values(["media_a", "media_b"]).to_csv(sys.argv[2], index=False)
+"""
+
+
+def test_media_neardup_completes_on_two_cpus(ray_session, tmp_path):
+    """The media feature stage runs as tasks, so the near-dup query
+    finishes on a real ``num_cpus=2`` cluster (a fixed actor pool of two
+    reserved both CPUs and stalled it) with the pairs of this session's
+    run."""
+    from medical_knowledge_graph_ray.stages.multimodal import media_neardup
+
+    out = str(tmp_path / "pairs.csv")
+    rc, log = _run_child(tmp_path, _MEDIA_CHILD,
+                         [f"/tmp/mkg_twocpu_ray_{os.getpid()}", out], "media")
+    assert rc is not None, "media_neardup hung on a 2-CPU cluster (120 s timeout)"
+    assert rc == 0, log
+    want = media_neardup(96).to_pandas().sort_values(["media_a", "media_b"])
+    got = pd.read_csv(out)
+    assert len(want) and got.values.tolist() == want.values.tolist()

@@ -1,7 +1,8 @@
 """``stages/shuffle.fold_groups``: the engine's one census path, pinned
 against a plain Python dict fold of the same rows and against Ray's
 sort-based ``groupby().aggregate()`` where the two agree (no NULs), plus
-the source rule that every census goes through it."""
+the source rules that every census goes through it and every keyed
+exchange through ``stages/shuffle.exchange``."""
 
 from __future__ import annotations
 
@@ -191,3 +192,78 @@ def test_no_collected_census_goes_through_an_exchange(rel, tmp_path):
     found = [f"{f.relative_to(ROOT)}:{hit}"
              for f in files for hit in _census_bypasses(f)]
     assert not found, found
+
+
+# the one group-by on a real key that is not a bucket exchange: one
+# kernel call per source, whose candidate pairs never cross sources
+MAP_GROUPS_ALLOWED = {("medical_knowledge_graph_ray/stages/shuffle.py", "exchange"),
+                      ("medical_knowledge_graph_ray/pipelines/docs.py",
+                       "docs_ngram_jaccard")}
+HASH_NAMES = {"hash_pandas_object", "hash_array"}
+
+
+def _exchange_bypasses(path: pathlib.Path, rel: str) -> list[str]:
+    """``line: what`` for every keyed exchange or row hash that does not
+    go through the shared one: a ``.map_groups(`` call outside the
+    allowed functions, a ``hash_pandas_object``/``hash_array`` reference
+    outside ``functions/hashing.py``, and a ``BUCKET_COL`` import."""
+    hits = []
+
+    def walk(node: ast.AST, func: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            name = func
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                name = func or child.name  # the enclosing top-level function
+            if isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute) \
+                    and child.func.attr == "map_groups" \
+                    and (rel, name) not in MAP_GROUPS_ALLOWED:
+                hits.append(f"{child.lineno}: .map_groups( in {name or '<module>'}")
+            if rel != "medical_knowledge_graph_ray/functions/hashing.py" and (
+                    isinstance(child, ast.Attribute) and child.attr in HASH_NAMES
+                    or isinstance(child, ast.Name) and child.id in HASH_NAMES
+                    or isinstance(child, ast.ImportFrom)
+                    and HASH_NAMES & {a.name for a in child.names}):
+                hits.append(f"{child.lineno}: row hash outside row_hash")
+            if isinstance(child, ast.ImportFrom) and any(
+                    a.name == "BUCKET_COL" for a in child.names):
+                hits.append(f"{child.lineno}: import BUCKET_COL")
+            walk(child, name)
+
+    walk(ast.parse(path.read_text()), "")
+    return hits
+
+
+def test_every_keyed_exchange_goes_through_shuffle(tmp_path):
+    """``stages/shuffle.exchange`` holds the package's only bucket
+    ``groupby().map_groups`` and ``functions/hashing.row_hash`` its only
+    pandas row hash (one call of each), so every bucket exchange groups
+    on a bucket that one NUL-safe hash assigned.  The pin itself flags
+    each bypass shape first."""
+    src = tmp_path / "m.py"
+    src.write_text(
+        "from medical_knowledge_graph_ray.stages.shuffle import BUCKET_COL\n"
+        "def f(ds):\n"
+        "    return ds.groupby('b').map_groups(g)\n"
+        "h = pd.util.hash_pandas_object(df)\n"
+        "from pandas.core.util.hashing import hash_array\n"
+        "def docs_ngram_jaccard(ds):\n"
+        "    return ds.groupby('source').map_groups(g)\n")
+    assert [h.split(":")[0] for h in _exchange_bypasses(src, "m.py")] == [
+        "1", "3", "4", "5", "7"]
+
+    files = sorted((ROOT / "medical_knowledge_graph_ray").rglob("*.py"))
+    files.append(ROOT / "__ray_entry__.py")
+    found, calls = [], {"map_groups": [], "hash_pandas_object": []}
+    for f in files:
+        rel = str(f.relative_to(ROOT))
+        found += [f"{rel}:{hit}" for hit in _exchange_bypasses(f, rel)]
+        for node in ast.walk(ast.parse(f.read_text())):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) \
+                    and node.func.attr in calls:
+                calls[node.func.attr].append(rel)
+    assert not found, found
+    assert calls == {
+        "map_groups": ["medical_knowledge_graph_ray/pipelines/docs.py",
+                       "medical_knowledge_graph_ray/stages/shuffle.py"],
+        "hash_pandas_object": ["medical_knowledge_graph_ray/functions/hashing.py"],
+    }, calls

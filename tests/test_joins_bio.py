@@ -325,7 +325,7 @@ def test_media_feature_plumbing(ray_session):
     dec_img = out[(out["status"] == "decoded") & (out["kind"] != "audio")]
     assert (dec_img["phash"] != 0).all()
 
-    ds = media_features(48, concurrency=2)
+    ds = media_features(48)
     df = ds.to_pandas()
     assert len(df) == 48 and set(df["kind"]) == {"image", "audio", "video"}
     assert (df["status"] == "decoded").sum() > 30

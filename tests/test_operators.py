@@ -779,6 +779,19 @@ def test_hll_approx_distinct_accuracy_and_invariance(ray_session):
     assert abs(ests[0] - exact) / exact < 0.02
 
 
+def test_hll_counts_strings_that_differ_after_a_nul(ray_session):
+    """5,000 distinct strings ``'x\\0<i>'`` estimate like 5,000 plain
+    ones: each value is hashed whole, not up to its NUL."""
+    import ray.data as rd
+
+    from medical_knowledge_graph_ray.stages.sketches import approx_distinct
+
+    for fmt in ("x\x00{}", "x{}"):
+        vals = pd.DataFrame({"x": [fmt.format(i) for i in range(5000)]})
+        est = approx_distinct(rd.from_pandas(vals), "x")["approx_distinct"].iloc[0]
+        assert abs(est - 5000) / 5000 < 0.03, (fmt, est)
+
+
 def test_pack_sequences_contracts(ray_session):
     """Sequence packing: every doc exactly once, no pack over budget
     (except flagged oversize singletons), identical output at any

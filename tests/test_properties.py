@@ -137,6 +137,60 @@ def test_block_digest_tells_nul_blocks_apart_and_matches_retries():
     assert len(block_digest(a)) == 16
 
 
+_WORD = st.sampled_from(["", "a", "bb", "x y", "héllo", "汤圆", "STATS"])
+_MAYBE = st.one_of(_WORD, st.none(), st.just(float("nan")))
+
+
+@given(st.lists(st.tuples(_WORD, _MAYBE, st.integers(-9, 9), st.floats(
+    allow_nan=True, allow_infinity=False, width=32), st.booleans()),
+    max_size=30))
+@settings(max_examples=200, deadline=None)
+def test_row_hash_equals_pandas_on_nul_free_frames(rows):
+    """``row_hash`` is pandas' ``hash_pandas_object(index=False)`` on every
+    frame whose strings hold no NUL: object strings with None/NaN nulls,
+    categorical, ``string[pyarrow]``, nullable, int, float, bool and
+    datetime columns, combined or as single Series."""
+    import pandas as pd
+
+    from medical_knowledge_graph_ray.functions.hashing import row_hash
+
+    words, maybe, ints, floats, bools = (list(c) for c in list(zip(*rows)) or [()] * 5)
+    maybe = pd.Series(maybe, dtype=object)
+    frame = pd.DataFrame({
+        "s": pd.Series(words, dtype=object), "m": maybe,
+        "cat": pd.Series(maybe, dtype="category"),
+        "spa": maybe.astype("string[pyarrow]"),
+        "i": pd.Series(ints, dtype="int64"), "I": pd.array(ints, "Int32"),
+        "f": pd.Series(floats, dtype="float64"), "b": pd.Series(bools, dtype=bool),
+        "t": pd.to_datetime(pd.Series(ints, dtype="int64") * 10**12),
+    })
+    want = pd.util.hash_pandas_object(frame, index=False).to_numpy()
+    assert (row_hash(frame) == want).all()
+    for c in frame.columns:
+        assert (row_hash(frame[c]) ==
+                pd.util.hash_pandas_object(frame[c], index=False).to_numpy()).all()
+
+
+def test_row_hash_reads_nul_strings_whole():
+    """A string holding a NUL hashes apart from its prefix and alike in
+    every frame (pandas' own hash gives ``''`` and ``'\\x00STATS'`` one
+    value, and ``'x\\0b'`` a value that depends on the frame)."""
+    import pandas as pd
+
+    from medical_knowledge_graph_ray.functions.hashing import row_hash
+
+    a = row_hash(pd.Series(["", "\x00STATS"], dtype=object))
+    assert a[0] != a[1]
+    x = row_hash(pd.Series(["x\x00a", "x\x00b", None], dtype=object))
+    y = row_hash(pd.Series(["x\x00b", "q"], dtype=object))
+    z = row_hash(pd.Series(["x\x00b"], dtype="string[pyarrow]"))
+    assert x[0] != x[1] and x[1] == y[0] == z[0]
+    assert x[2] == np.iinfo(np.uint64).max
+    f = row_hash(pd.DataFrame({"k": ["x\x00a", "x\x00b"], "n": [1, 1]}))
+    g = row_hash(pd.DataFrame({"k": ["x\x00b"], "n": [1]}))
+    assert f[0] != f[1] and f[1] == g[0]
+
+
 def test_md5_int_vec_block_boundaries_and_slices():
     """Deterministic edge lengths around the 1→2 and 2→3 block boundaries
     (55/56, 119/120 message bytes) plus sliced/chunked Arrow inputs."""

@@ -64,6 +64,21 @@ def test_upsert_idempotent_and_deletes(table):
     assert hit["k"].tolist() == [2] and hit["v"].tolist() == ["B"]
 
 
+def test_upsert_reapply_check_tells_nul_batches_apart(table):
+    """A batch whose strings differ from an applied batch's only after a
+    NUL is new data, not an idempotent re-apply: the second upsert lands
+    and row 2 takes its value."""
+    from medical_knowledge_graph_ray.stages.upsert import (
+        read_keyed_table, upsert,
+    )
+
+    m1 = upsert(table, _df([(1, "x\x00a"), (2, "x\x00b")]))
+    m2 = upsert(table, _df([(1, "x\x00a"), (2, "x\x00a")]))
+    assert m2["version"] == m1["version"] + 1
+    got = read_keyed_table(table).to_pandas().sort_values("k")
+    assert got["v"].tolist() == ["x\x00a", "x\x00a"]
+
+
 def test_upsert_rewrites_only_touched_buckets(table):
     from medical_knowledge_graph_ray.stages.upsert import (
         _bucket_of, _bucket_file, upsert,
