@@ -13,10 +13,10 @@ the bitsets — the packed-uint8 form here keeps the same asymptotics at
 Layout contract (what makes bit positions well-defined and rebuildable):
 rows hash-exchange on ``key_cols`` into ``num_buckets`` coarse buckets
 (`functions/hashing.py:row_hash` through `stages/shuffle.py:exchange` —
-content-stable across processes and parallelism), and WITHIN a bucket rows sort by ``key_cols`` (a total
-order).  Bit i of a bucket's bitset is therefore the same logical row on
-every build of the same data, independent of file layout or block
-boundaries.
+content-stable across processes and parallelism), and WITHIN a bucket
+rows sort by ``key_cols`` (a total order).  Bit i of a bucket's bitset
+is therefore the same logical row on every build of the same data,
+independent of file layout or block boundaries.
 
 Scale shape: the build is one hash exchange + task-side parquet writes
 (one file per bucket — never a driver materialize); serving reads ONLY
